@@ -39,25 +39,26 @@ def _point_json(p):
 def cmd_curve(args) -> int:
     curve = Curve(args.a, args.b, args.s)
     affine = curve.affine_points()
+    n = curve.order()
+    orders = [curve.point_order(p) for p in affine]
     if args.json:
         payload = {
             "s": curve.s, "a": curve.a, "b": curve.b,
-            "order": curve.order(),
-            "identity": {"order": 1, "cofactor": curve.order()},
+            "order": n,
+            "identity": {"order": 1, "cofactor": n},
             "points": [
-                {"x": p.x, "y": p.y, "order": curve.point_order(p),
-                 "cofactor": curve.cofactor(p)}
-                for p in affine
+                {"x": p.x, "y": p.y, "order": k, "cofactor": n // k}
+                for p, k in zip(affine, orders)
             ],
         }
         print(json.dumps(payload, indent=2))
         return EXIT_OK
     print(f"curve y^2 = x^3 + {curve.a}x + {curve.b} over F_{curve.s}")
-    print(f"group order {curve.order()} ({len(affine)} affine points + identity)")
+    print(f"group order {n} ({len(affine)} affine points + identity)")
     print(f"{'point':>12}  {'order':>5}  {'cofactor':>8}")
-    print(f"{'O':>12}  {1:>5}  {curve.order():>8}")
-    for p in affine:
-        print(f"{str(p):>12}  {curve.point_order(p):>5}  {curve.cofactor(p):>8}")
+    print(f"{'O':>12}  {1:>5}  {n:>8}")
+    for p, k in zip(affine, orders):
+        print(f"{str(p):>12}  {k:>5}  {n // k:>8}")
     return EXIT_OK
 
 

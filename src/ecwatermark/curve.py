@@ -1,17 +1,24 @@
 """The abelian group of points on y^2 = x^3 + a*x + b over a small prime field.
 
-Affine coordinates throughout: on desk-scale fields the per-operation field
-inversion is cheap, and the chord-and-tangent case analysis stays easy to
-audit. The identity is the point at infinity O.
+Affine coordinates on plain Python ints throughout: on desk-scale fields one
+modular inversion (pow(v, -1, s)) per operation is cheap, and the
+chord-and-tangent case analysis stays easy to audit. The identity is the
+point at infinity O. Points are enumerated from one table of square roots
+mod s; a point's order comes from the factorized group order; the nearest
+affine point to a real query is one vectorized float64 search over the
+enumerated points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import CapacityError, ConfigError
-from .field import FieldElement, is_prime, sqrt_candidates
+import numpy as np
+
+from .errors import CapacityError, ConfigError, InputError
+from .field import is_prime
 
 DEFAULT_ENUMERATION_BOUND = 10_000
 
@@ -63,6 +70,8 @@ class Curve:
         self.s = s
         self.enumeration_bound = enumeration_bound
         self._affine: list[Point] | None = None
+        self._xs: np.ndarray | None = None
+        self._ys: np.ndarray | None = None
 
     def __repr__(self) -> str:
         return f"Curve(a={self.a}, b={self.b}, s={self.s})"
@@ -108,19 +117,16 @@ class Curve:
         if q.is_infinity:
             return p
         s = self.s
-        if p.x == q.x and (p.y + q.y) % s == 0:
-            # q = -p, which also covers doubling a point with y = 0
-            return INFINITY
-        xp, yp = FieldElement(p.x, s), FieldElement(p.y, s)
-        if p == q:
-            lam = (FieldElement(3 * p.x * p.x + self.a, s)
-                   * FieldElement(2 * p.y, s).inverse())
+        x1, y1, x2, y2 = p.x, p.y, q.x, q.y
+        if (x2 - x1) % s == 0:
+            if (y1 + y2) % s == 0:
+                # q = -p, which also covers doubling a point with y = 0
+                return INFINITY
+            lam = (3 * x1 * x1 + self.a) * pow(2 * y1, -1, s) % s
         else:
-            xq, yq = FieldElement(q.x, s), FieldElement(q.y, s)
-            lam = (yq - yp) * (xq - xp).inverse()
-        xr = lam * lam - xp - FieldElement(q.x, s)
-        yr = lam * (xp - xr) - yp
-        return Point(xr.value, yr.value)
+            lam = (y2 - y1) * pow(x2 - x1, -1, s) % s
+        xr = (lam * lam - x1 - x2) % s
+        return Point(xr, (lam * (x1 - xr) - y1) % s)
 
     def scalar_mul(self, k: int, p: Point) -> Point:
         """k-fold sum of p via double-and-add; k = 0 gives O."""
@@ -144,12 +150,14 @@ class Curve:
                 raise CapacityError(
                     f"field size {self.s} exceeds enumeration bound {self.enumeration_bound}"
                 )
-            pts = []
-            for x in range(self.s):
-                rhs = FieldElement(x * x * x + self.a * x + self.b, self.s)
-                for root in sqrt_candidates(rhs):
-                    pts.append(Point(x, root.value))
-            pts.sort(key=lambda p: (p.x, p.y))
+            s, a, b = self.s, self.a, self.b
+            # roots[v] lists every y with y*y = v, ascending because y is
+            roots: list[list[int]] = [[] for _ in range(s)]
+            for y in range(s):
+                roots[y * y % s].append(y)
+            pts = [Point(x, y) for x in range(s) for y in roots[(x * x * x + a * x + b) % s]]
+            self._xs = np.array([p.x for p in pts], dtype=np.float64)
+            self._ys = np.array([p.y for p in pts], dtype=np.float64)
             self._affine = pts
         return self._affine
 
@@ -160,15 +168,23 @@ class Curve:
     def order(self) -> int:
         return len(self.affine_points()) + 1
 
+    @cached_property
+    def _order_primes(self) -> list[int]:
+        """Distinct prime divisors of the group order; O(N) once per curve."""
+        n = self.order()
+        return [q for q in range(2, n + 1) if n % q == 0 and is_prime(q)]
+
     def point_order(self, p: Point) -> int:
-        """Smallest n >= 1 with n*p = O; the order of O itself is 1."""
+        """Smallest n >= 1 with n*p = O; the order of O itself is 1.
+
+        Starts from the group order (a multiple of every point order) and
+        strips each prime factor q while (n/q)*p is still O.
+        """
         self._require_on_curve(p)
-        if p.is_infinity:
-            return 1
-        n, acc = 1, p
-        while not acc.is_infinity:
-            acc = self._add(acc, p)
-            n += 1
+        n = self.order()
+        for q in self._order_primes:
+            while n % q == 0 and self.scalar_mul(n // q, p).is_infinity:
+                n //= q
         return n
 
     def cofactor(self, p: Point) -> int:
@@ -178,19 +194,19 @@ class Curve:
     def nearest_affine(self, x: float, y: float) -> Point:
         """Affine point minimizing squared Euclidean distance to (x, y).
 
-        Ties resolve to the lexicographically smallest point; iteration over
-        the sorted point list with a strict comparison guarantees that. This
-        is the single projection routine shared by the switching map and the
-        partition export, so the two can never disagree.
+        Distances are float64, computed as dx*dx + dy*dy for every point at
+        once. Ties resolve to the lexicographically smallest point: the point
+        list is sorted and argmin returns the first minimum. This is the
+        single projection routine shared by the switching map and the
+        partition export, so the two can never disagree. Raises InputError
+        when no distance is finite: a NaN or infinite coordinate, or one so
+        large that every squared distance overflows.
         """
-        best: Point | None = None
-        best_d = math.inf
-        for p in self.affine_points():
-            dx = p.x - x
-            dy = p.y - y
-            d = dx * dx + dy * dy
-            if d < best_d:
-                best, best_d = p, d
-        if best is None:
-            raise ConfigError("curve has no affine points", path="curve")
-        return best
+        pts = self.affine_points()
+        dx = self._xs - x
+        dy = self._ys - y
+        d = dx * dx + dy * dy
+        i = int(d.argmin())
+        if not math.isfinite(d[i]):
+            raise InputError(f"cannot project ({x!r}, {y!r}) onto {self!r}")
+        return pts[i]

@@ -1,8 +1,11 @@
 """Exact arithmetic in Z/sZ for prime s.
 
-Every curve operation bottoms out here. Elements are immutable values and
-all operations are pure functions of their inputs, so they can be used from
-any number of concurrent callers.
+`FieldElement` is the checked public value type: it validates its modulus
+and refuses to mix fields. The curve layer does its arithmetic on plain ints
+and uses only `is_prime` from here; `sqrt_candidates` serves callers that
+want individual square roots and the tests as a reference enumeration.
+Elements are immutable values and all operations are pure functions of their
+inputs, so they can be used from any number of concurrent callers.
 """
 
 from __future__ import annotations
@@ -21,20 +24,33 @@ MAX_MODULUS = 2**63 - 1
 EXHAUSTIVE_SQRT_LIMIT = 1000
 
 
+# Miller-Rabin with these witnesses is exact for every n < 3.3 * 10**24,
+# far beyond MAX_MODULUS.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 @lru_cache(maxsize=512)
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; moduli here are desk scale."""
+    """Deterministic Miller-Rabin primality test; O(log n) per witness."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for base in _MR_BASES:
+        x = pow(base, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

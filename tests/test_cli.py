@@ -42,6 +42,12 @@ def test_singular_curve_exits_config_error(capsys):
     assert "singular" in capsys.readouterr().err
 
 
+def test_huge_prime_field_exits_capacity_error(capsys):
+    # 2^61 - 1 is prime: primality must be settled fast, then enumeration refused
+    assert main(["curve", "--s", "2305843009213693951", "--a", "1", "--b", "1"]) == 2
+    assert "enumeration bound" in capsys.readouterr().err
+
+
 # -- switch-eval ------------------------------------------------------------------
 
 def test_switch_eval_reports_valid_taps(demo_config_file, capsys):

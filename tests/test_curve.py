@@ -3,18 +3,53 @@ import random
 
 import pytest
 
-from ecwatermark import INFINITY, CapacityError, ConfigError, Curve, Point
+from ecwatermark import (
+    INFINITY,
+    CapacityError,
+    ConfigError,
+    Curve,
+    FieldElement,
+    InputError,
+    Point,
+    sqrt_candidates,
+)
+from ecwatermark.analysis import voronoi_rows
 
 P51 = Point(5, 1)
 
 
-# -- oracle: repeated addition ------------------------------------------------
+# -- oracles -------------------------------------------------------------------
 
 def repeated_add(curve, k, p):
     acc = INFINITY
     for _ in range(k):
         acc = curve.add(acc, p)
     return acc
+
+
+def order_by_repeated_add(curve, p):
+    """Reference point order: add p to itself until O."""
+    n, acc = 1, p
+    while not acc.is_infinity:
+        acc = curve.add(acc, p)
+        n += 1
+    return n
+
+
+def enumerate_by_sqrt(curve):
+    """Reference enumeration: per-x square roots from the field layer."""
+    s = curve.s
+    return [Point(x, r.value) for x in range(s)
+            for r in sqrt_candidates(FieldElement(x ** 3 + curve.a * x + curve.b, s))]
+
+
+def nearest_by_scan(curve, x, y):
+    """Reference projection: linear scan, smallest (d, x, y) wins, with d
+    computed in the same float operation order as the fast path."""
+    def key(p):
+        dx, dy = p.x - x, p.y - y
+        return (dx * dx + dy * dy, p.x, p.y)
+    return min(curve.affine_points(), key=key)
 
 
 # -- construction ------------------------------------------------------------
@@ -145,6 +180,13 @@ def test_enumeration_sorted_and_on_curve(desk_curve):
     assert all(desk_curve.contains(p) for p in pts)
 
 
+@pytest.mark.parametrize("a, b, s", [(2, 2, 17), (2, 3, 1009)])
+def test_enumeration_matches_sqrt_oracle(a, b, s):
+    # 1009 = 1 mod 4 sends sqrt_candidates through its Tonelli-Shanks branch
+    curve = Curve(a, b, s)
+    assert curve.affine_points() == enumerate_by_sqrt(curve)
+
+
 def test_enumeration_bound():
     curve = Curve(2, 2, 10007)
     with pytest.raises(CapacityError):
@@ -190,8 +232,15 @@ def test_cofactor_integral_on_random_curves():
         n = curve.order()
         for p in curve.points():
             order = curve.point_order(p)
+            assert order == order_by_repeated_add(curve, p)
             assert n % order == 0
             assert curve.cofactor(p) * order == n
+
+
+def test_point_order_matches_repeated_addition_mod_307():
+    curve = Curve(2, 3, 307)
+    for p in random.Random(11).sample(curve.points(), 40):
+        assert curve.point_order(p) == order_by_repeated_add(curve, p)
 
 
 def test_hasse_bound_on_random_curves():
@@ -206,16 +255,42 @@ def test_nearest_affine_exact_hit(desk_curve):
     assert desk_curve.nearest_affine(6.0, 3.0) == Point(6, 3)
 
 
-def test_nearest_affine_scan_oracle(desk_curve):
-    rng = random.Random(5)
-    for _ in range(200):
-        x, y = rng.uniform(0, 17), rng.uniform(0, 17)
-        got = desk_curve.nearest_affine(x, y)
-        best = min(
-            desk_curve.affine_points(),
-            key=lambda p: ((p.x - x) ** 2 + (p.y - y) ** 2, p.x, p.y),
-        )
-        assert got == best
+@pytest.fixture(scope="module")
+def oracle_curves(desk_curve):
+    return [desk_curve, Curve(2, 3, 307), Curve(2, 3, 9973)]
+
+
+def test_nearest_affine_scan_oracle(oracle_curves):
+    for curve in oracle_curves:
+        rng = random.Random(curve.s)
+        for _ in range(200 if curve.s < 1000 else 60):
+            x, y = rng.uniform(-2, curve.s + 2), rng.uniform(-2, curve.s + 2)
+            assert curve.nearest_affine(x, y) == nearest_by_scan(curve, x, y)
+
+
+def test_nearest_affine_scan_oracle_on_voronoi_grid():
+    curve = Curve(2, 3, 307)
+    for gx, gy, owner in voronoi_rows(curve, 100):
+        assert owner == nearest_by_scan(curve, gx, gy)
+
+
+def test_nearest_affine_scan_oracle_on_exact_ties(oracle_curves):
+    # the midpoint of two neighbouring points is equidistant from both
+    for curve in oracle_curves:
+        pairs = list(zip(curve.affine_points(), curve.affine_points()[1:]))
+        if len(pairs) > 400:
+            pairs = random.Random(curve.s).sample(pairs, 400)
+        for p, q in pairs:
+            x, y = (p.x + q.x) / 2, (p.y + q.y) / 2
+            assert curve.nearest_affine(x, y) == nearest_by_scan(curve, x, y)
+
+
+@pytest.mark.parametrize("x, y", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                  (1.0, -math.inf), (1e200, 1.0)])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_nearest_affine_rejects_unprojectable_query(desk_curve, x, y):
+    with pytest.raises(InputError):
+        desk_curve.nearest_affine(x, y)
 
 
 def test_nearest_affine_tie_breaks_lexicographically(desk_curve):

@@ -44,10 +44,35 @@ def test_oversize_modulus_rejected():
         FieldElement(1, 2**63 + 9)
 
 
+def is_prime_by_trial_division(n: int) -> bool:
+    """Reference primality test."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def test_is_prime_matches_small_table():
     table = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(50):
         assert is_prime(n) == (n in table)
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    for n in range(10**5):
+        assert is_prime(n) == is_prime_by_trial_division(n), n
+
+
+def test_is_prime_large_values():
+    # Mersenne primes and the strong pseudoprime 3215031751 (bases 2, 3, 5, 7)
+    assert is_prime(2**61 - 1)
+    assert is_prime(2**31 - 1)
+    assert not is_prime(3215031751)
+    assert not is_prime((2**31 - 1) * (2**61 - 1))
 
 
 # -- arithmetic --------------------------------------------------------------
