@@ -30,6 +30,7 @@ from .sim import (
     WatermarkSetup,
     apply_attack,
     calibrate_threshold,
+    resolve_threshold,
     run_scenario,
 )
 from .switching import (

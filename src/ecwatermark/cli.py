@@ -22,7 +22,7 @@ from pathlib import Path
 from .analysis import SweepSpec, sensitivity_sweep, voronoi_rows
 from .curve import Curve
 from .errors import ConfigError, DivergenceError, EcwmError
-from .sim import Scenario, calibrate_threshold, run_scenario
+from .sim import Scenario, resolve_threshold, run_scenario
 from .switching import SwitchingConfig, sigma_detail, validate_theta
 from . import shipped, svgplot
 
@@ -144,10 +144,8 @@ def cmd_voronoi(args) -> int:
 
 def cmd_sim(args) -> int:
     scenario = Scenario.load(args.scenario)
-    if scenario.detector.threshold.mode == "calibrate":
-        thr = calibrate_threshold(scenario.without_attack())
-    else:
-        thr = scenario.detector.threshold.value
+    # resolved before the run, so timing run_scenario leaves calibration out
+    thr = resolve_threshold(scenario)
     trace = run_scenario(scenario, seed=args.seed, threshold=thr)
     paths = trace.write_outputs(args.out)
     summary = trace.summary()

@@ -29,13 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError
 from .switching import FirParams, SwitchingConfig, sigma
-from .watermark import (
-    PeriodicTrigger,
-    SwitchProtocol,
-    ThresholdTrigger,
-    WatermarkUnit,
-    make_pair,
-)
+from .watermark import PeriodicTrigger, SwitchProtocol, ThresholdTrigger, make_pair
 
 log = logging.getLogger(__name__)
 
@@ -53,6 +47,7 @@ __all__ = [
     "SimTrace",
     "apply_attack",
     "run_scenario",
+    "resolve_threshold",
     "calibrate_threshold",
 ]
 
@@ -63,28 +58,56 @@ def _require_mapping(value, path):
     return value
 
 
-def _matrix(value, rows, cols, path):
+def _integer(value, path) -> int:
+    """An integer field; integral floats such as 60.0 pass, bools and 2.7 do not."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"expected an integer, got {value!r}", path=path)
+    return value
+
+
+def _number(value, path) -> float:
+    """A finite real field; bools, strings and NaN/inf do not pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"expected a number, got {value!r}", path=path)
     try:
-        m = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"not a numeric matrix: {exc}", path=path) from exc
-    if m.shape != (rows, cols):
-        raise ConfigError(f"expected shape {(rows, cols)}, got {m.shape}", path=path)
-    if not np.all(np.isfinite(m)):
+        number = float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"number out of range: {exc}", path=path) from exc
+    if not math.isfinite(number):
+        raise ConfigError("must be finite", path=path)
+    return number
+
+
+def _array(value, path, shape_ok, expected) -> np.ndarray:
+    """Finite float array whose shape passes `shape_ok`; `expected` names it."""
+    try:
+        a = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"not numeric: {exc}", path=path) from exc
+    if not shape_ok(a.shape):
+        raise ConfigError(f"expected {expected}, got shape {a.shape}", path=path)
+    if not np.all(np.isfinite(a)):
         raise ConfigError("entries must be finite", path=path)
-    return m
+    return a
+
+
+def _matrix(value, rows, cols, path):
+    """Finite matrix of shape (rows, cols); `cols=None` takes any positive width."""
+    return _array(value, path,
+                  lambda s: len(s) == 2 and s[0] == rows and (s[1] == cols if cols else s[1] >= 1),
+                  f"shape ({rows}, {cols or 'any'})")
+
+
+def _square(value, path):
+    """Finite, non-empty square state matrix; its size is the block's order."""
+    return _array(value, path, lambda s: len(s) == 2 and s[0] == s[1] >= 1,
+                  "a square non-empty matrix")
 
 
 def _vector(value, size, path):
-    try:
-        v = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"not a numeric vector: {exc}", path=path) from exc
-    if v.shape != (size,):
-        raise ConfigError(f"expected length {size}, got shape {v.shape}", path=path)
-    if not np.all(np.isfinite(v)):
-        raise ConfigError("entries must be finite", path=path)
-    return v
+    return _array(value, path, lambda s: s == (size,), f"length {size}")
 
 
 @dataclass(frozen=True)
@@ -97,23 +120,6 @@ class NoiseSpec:
     mean: tuple[float, ...] | None = None
     std: tuple[float, ...] | None = None
 
-    def validated(self, dim: int, path: str) -> "NoiseSpec":
-        if self.kind == "none":
-            return self
-        if self.kind == "uniform":
-            low = _vector(self.low, dim, f"{path}.low")
-            high = _vector(self.high, dim, f"{path}.high")
-            if np.any(low > high):
-                raise ConfigError("low must not exceed high", path=path)
-            return NoiseSpec("uniform", tuple(low), tuple(high))
-        if self.kind == "normal":
-            mean = _vector(self.mean, dim, f"{path}.mean")
-            std = _vector(self.std, dim, f"{path}.std")
-            if np.any(std < 0):
-                raise ConfigError("std must be non-negative", path=path)
-            return NoiseSpec("normal", mean=tuple(mean), std=tuple(std))
-        raise ConfigError(f"unknown noise kind {self.kind!r}", path=path)
-
     def sample(self, rng: np.random.Generator, dim: int) -> np.ndarray:
         if self.kind == "uniform":
             return rng.uniform(self.low, self.high)
@@ -122,18 +128,27 @@ class NoiseSpec:
         return np.zeros(dim)
 
     @classmethod
-    def from_dict(cls, data, path: str) -> "NoiseSpec":
+    def from_dict(cls, data, dim: int, path: str) -> "NoiseSpec":
+        """Read and validate a noise section for a `dim`-dimensional signal."""
         if data is None:
-            return cls("none")
+            return cls()
         _require_mapping(data, path)
         kind = data.get("kind", "none")
-        return cls(
-            kind=kind,
-            low=data.get("low"),
-            high=data.get("high"),
-            mean=data.get("mean"),
-            std=data.get("std"),
-        )
+        if kind == "none":
+            return cls()
+        if kind == "uniform":
+            low = _vector(data.get("low"), dim, f"{path}.low")
+            high = _vector(data.get("high"), dim, f"{path}.high")
+            if np.any(low > high):
+                raise ConfigError("low must not exceed high", path=path)
+            return cls("uniform", tuple(low), tuple(high))
+        if kind == "normal":
+            mean = _vector(data.get("mean"), dim, f"{path}.mean")
+            std = _vector(data.get("std"), dim, f"{path}.std")
+            if np.any(std < 0):
+                raise ConfigError("std must be non-negative", path=path)
+            return cls("normal", mean=tuple(mean), std=tuple(std))
+        raise ConfigError(f"unknown noise kind {kind!r}", path=path)
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -160,20 +175,16 @@ class PlantModel:
     @classmethod
     def from_dict(cls, d, path="plant") -> "PlantModel":
         _require_mapping(d, path)
-        A = np.array(d.get("A", []), dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
-            raise ConfigError("A must be square and non-empty", path=f"{path}.A")
+        A = _square(d.get("A"), f"{path}.A")
         n = A.shape[0]
-        B = np.array(d.get("B", []), dtype=float)
-        if B.ndim != 2 or B.shape[0] != n or B.shape[1] < 1:
-            raise ConfigError(f"B must have {n} rows", path=f"{path}.B")
-        C = _matrix(d.get("C"), 1, n, f"{path}.C")
-        x0 = _vector(d.get("x0", [0.0] * n), n, f"{path}.x0")
-        w = NoiseSpec.from_dict(d.get("process_noise"), f"{path}.process_noise")
-        v = NoiseSpec.from_dict(d.get("measurement_noise"), f"{path}.measurement_noise")
-        return cls(A, B, C, x0,
-                   w.validated(n, f"{path}.process_noise"),
-                   v.validated(1, f"{path}.measurement_noise"))
+        return cls(
+            A,
+            _matrix(d.get("B"), n, None, f"{path}.B"),
+            _matrix(d.get("C"), 1, n, f"{path}.C"),
+            _vector(d.get("x0", [0.0] * n), n, f"{path}.x0"),
+            NoiseSpec.from_dict(d.get("process_noise"), n, f"{path}.process_noise"),
+            NoiseSpec.from_dict(d.get("measurement_noise"), 1, f"{path}.measurement_noise"),
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -197,9 +208,7 @@ class ControllerModel:
     @classmethod
     def from_dict(cls, d, n_u, path="controller") -> "ControllerModel":
         _require_mapping(d, path)
-        A = np.array(d.get("A", []), dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
-            raise ConfigError("A must be square and non-empty", path=f"{path}.A")
+        A = _square(d.get("A"), f"{path}.A")
         nc = A.shape[0]
         B = _matrix(d.get("B"), nc, 1, f"{path}.B")
         C = _matrix(d.get("C"), n_u, nc, f"{path}.C")
@@ -235,11 +244,11 @@ class ThresholdSpec:
             raise ConfigError(f"unknown threshold mode {mode!r}", path=path)
         spec = cls(
             mode=mode,
-            value=float(d.get("value", 0.0)),
-            runs=int(d.get("runs", 100)),
-            quantile=float(d.get("quantile", 1.0)),
-            safety=float(d.get("safety", 1.2)),
-            floor=float(d.get("floor", 1e-6)),
+            value=_number(d.get("value", 0.0), f"{path}.value"),
+            runs=_integer(d.get("runs", 100), f"{path}.runs"),
+            quantile=_number(d.get("quantile", 1.0), f"{path}.quantile"),
+            safety=_number(d.get("safety", 1.2), f"{path}.safety"),
+            floor=_number(d.get("floor", 1e-6), f"{path}.floor"),
         )
         if spec.runs < 1:
             raise ConfigError("runs must be positive", path=f"{path}.runs")
@@ -269,9 +278,7 @@ class DetectorModel:
     @classmethod
     def from_dict(cls, d, n_u, path="detector") -> "DetectorModel":
         _require_mapping(d, path)
-        A = np.array(d.get("A", []), dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
-            raise ConfigError("A must be square and non-empty", path=f"{path}.A")
+        A = _square(d.get("A"), f"{path}.A")
         nr = A.shape[0]
         B = _matrix(d.get("B"), nr, n_u, f"{path}.B")
         K = _matrix(d.get("K"), nr, 1, f"{path}.K")
@@ -315,9 +322,9 @@ class AttackSpec:
             raise ConfigError(f"unknown attack kind {kind!r}", path=path)
         spec = cls(
             kind=kind,
-            start=int(d.get("start", 0)),
-            window=int(d.get("window", 0)),
-            magnitude=float(d.get("magnitude", 0.0)),
+            start=_integer(d.get("start", 0), f"{path}.start"),
+            window=_integer(d.get("window", 0), f"{path}.window"),
+            magnitude=_number(d.get("magnitude", 0.0), f"{path}.magnitude"),
         )
         if kind == "replay" and spec.window < 1:
             raise ConfigError("replay needs a positive window", path=f"{path}.window")
@@ -362,56 +369,62 @@ def apply_attack(y_w: float, history, spec: AttackSpec, k: int) -> tuple[float, 
 @dataclass
 class WatermarkSetup:
     """Watermarking side of a scenario: the shared switching configuration,
-    the trigger rule, and the starting taps ('auto' derives them from the
-    switching map applied to 0.0, a convention both endpoints share)."""
+    the trigger rule ('none' keeps the starting taps for the whole run), and
+    the starting taps ('auto' derives them from the switching map applied to
+    0.0, a convention both endpoints share). A scenario without watermark
+    holds None in its place."""
 
-    config: SwitchingConfig | None = None
-    enabled: bool = True
+    config: SwitchingConfig
     trigger: str = "periodic"  # periodic | threshold | none
     period: int = 50
     bound: float = 0.0
     theta0: FirParams | None = None
 
     @classmethod
-    def from_dict(cls, d, path="watermark") -> "WatermarkSetup":
+    def from_dict(cls, d, path="watermark") -> "WatermarkSetup | None":
+        """None (no watermark) for a missing section or `"enabled": false`."""
         if d is None:
-            return cls(enabled=False, config=None, trigger="none")
+            return None
         _require_mapping(d, path)
-        enabled = bool(d.get("enabled", True))
-        config = None
-        if enabled:
-            if "config" not in d:
-                raise ConfigError("missing switching configuration", path=f"{path}.config")
-            config = SwitchingConfig.from_dict(d["config"], path=f"{path}.config")
+        enabled = d.get("enabled", True)
+        if not isinstance(enabled, bool):
+            raise ConfigError(f"expected true or false, got {enabled!r}", path=f"{path}.enabled")
+        if not enabled:
+            return None
+        if "config" not in d:
+            raise ConfigError("missing switching configuration", path=f"{path}.config")
+        config = SwitchingConfig.from_dict(d["config"], path=f"{path}.config")
         proto = _require_mapping(d.get("protocol", {"trigger": "periodic", "period": 50}),
                                  f"{path}.protocol")
         trigger = proto.get("trigger", "periodic")
         if trigger not in ("periodic", "threshold", "none"):
             raise ConfigError(f"unknown trigger {trigger!r}", path=f"{path}.protocol")
-        period = int(proto.get("period", 50))
+        period = _integer(proto.get("period", 50), f"{path}.protocol.period")
         if trigger == "periodic" and period < 1:
             raise ConfigError("period must be positive", path=f"{path}.protocol.period")
-        bound = float(proto.get("bound", 0.0))
+        bound = _number(proto.get("bound", 0.0), f"{path}.protocol.bound")
         theta0 = d.get("theta0", "auto")
-        if theta0 == "auto":
+        if theta0 == "auto" or theta0 is None:
             theta0 = None
-        elif theta0 is not None:
-            theta0 = FirParams(tuple(float(v) for v in theta0))
-        return cls(config=config, enabled=enabled, trigger=trigger,
-                   period=period, bound=bound, theta0=theta0)
+        elif isinstance(theta0, list) and len(theta0) == config.n_h + 1:
+            theta0 = FirParams(tuple(_number(v, f"{path}.theta0[{i}]")
+                                     for i, v in enumerate(theta0)))
+        else:
+            raise ConfigError(f'expected "auto" or a list of {config.n_h + 1} taps',
+                              path=f"{path}.theta0")
+        return cls(config=config, trigger=trigger, period=period, bound=bound, theta0=theta0)
 
     def to_dict(self) -> dict:
-        out: dict = {"enabled": self.enabled}
-        if self.config is not None:
-            out["config"] = self.config.to_dict()
         proto: dict = {"trigger": self.trigger}
         if self.trigger == "periodic":
             proto["period"] = self.period
         if self.trigger == "threshold":
             proto["bound"] = self.bound
-        out["protocol"] = proto
-        out["theta0"] = list(self.theta0.taps) if self.theta0 is not None else "auto"
-        return out
+        return {
+            "config": self.config.to_dict(),
+            "protocol": proto,
+            "theta0": list(self.theta0.taps) if self.theta0 is not None else "auto",
+        }
 
     def make_trigger(self):
         if self.trigger == "periodic":
@@ -433,7 +446,7 @@ class Scenario:
     plant: PlantModel
     controller: ControllerModel
     detector: DetectorModel
-    watermark: WatermarkSetup
+    watermark: WatermarkSetup | None  # None runs the loop without watermark
     attack: AttackSpec = AttackSpec()
     horizon: int = 1000
     seed: int = 0
@@ -445,7 +458,7 @@ class Scenario:
         for key in ("plant", "controller", "detector"):
             if key not in data:
                 raise ConfigError("missing required section", path=f"{path}.{key}")
-        horizon = int(data.get("horizon", 1000))
+        horizon = _integer(data.get("horizon", 1000), f"{path}.horizon")
         if horizon < 1:
             raise ConfigError("horizon must be positive", path=f"{path}.horizon")
         plant = PlantModel.from_dict(data["plant"], f"{path}.plant")
@@ -459,8 +472,10 @@ class Scenario:
             watermark=WatermarkSetup.from_dict(data.get("watermark"), f"{path}.watermark"),
             attack=AttackSpec.from_dict(data.get("attack"), f"{path}.attack"),
             horizon=horizon,
-            seed=int(data.get("seed", 0)),
+            seed=_integer(data.get("seed", 0), f"{path}.seed"),
         )
+        if scenario.seed < 0:
+            raise ConfigError("seed must be non-negative", path=f"{path}.seed")
         scenario.check_closed_loop(path=path)
         return scenario
 
@@ -472,7 +487,9 @@ class Scenario:
         top = np.hstack([A_p + B_p @ D_c @ C_p, B_p @ C_c])
         bottom = np.hstack([B_c @ C_p, A_c])
         closed = np.vstack([top, bottom])
-        radius = float(np.abs(np.linalg.eigvals(closed)).max())
+        # finite entries can still overflow in the products above
+        finite = np.all(np.isfinite(closed))
+        radius = float(np.abs(np.linalg.eigvals(closed)).max()) if finite else math.inf
         if radius >= 1.0:
             raise ConfigError(
                 f"closed loop is not Schur stable (spectral radius {radius:.4f})",
@@ -499,7 +516,7 @@ class Scenario:
             "plant": self.plant.to_dict(),
             "controller": self.controller.to_dict(),
             "detector": self.detector.to_dict(),
-            "watermark": self.watermark.to_dict(),
+            "watermark": self.watermark.to_dict() if self.watermark is not None else None,
             "attack": self.attack.to_dict(),
         }
 
@@ -514,7 +531,13 @@ class Scenario:
 
 @dataclass
 class SimTrace:
-    """Time-indexed record of one run; length equals the horizon."""
+    """Time-indexed record of one run; length equals the horizon.
+
+    `taps` is the sparse tap record: `(k, generator_taps, remover_taps)` at
+    k = 0 and at every step where `switch[k]` is set, empty without
+    watermark. Taps are piecewise constant, so the taps in force at step k
+    are those of the last entry at or before k.
+    """
 
     k: np.ndarray
     y_p: np.ndarray
@@ -526,8 +549,7 @@ class SimTrace:
     y_r_bar: np.ndarray
     alarm: np.ndarray
     switch: np.ndarray
-    theta_w: list
-    theta_q: list
+    taps: list
     trigger_times_generator: list
     trigger_times_remover: list
     metadata: dict = field(default_factory=dict)
@@ -629,23 +651,27 @@ def calibrate_threshold(scenario: Scenario, n_runs: int | None = None,
     return value if value > 0.0 else spec.floor
 
 
+def resolve_threshold(scenario: Scenario) -> float:
+    """The constant detector threshold of a scenario: the fixed spec value, or
+    a calibration (see `calibrate_threshold`) over its attack-free variant."""
+    spec = scenario.detector.threshold
+    if spec.mode == "fixed":
+        return float(spec.value)
+    return calibrate_threshold(scenario.without_attack())
+
+
 def run_scenario(scenario: Scenario, *, horizon: int | None = None,
                  seed: int | None = None, threshold: float | None = None) -> SimTrace:
     """Execute one closed-loop run and return its trace.
 
-    `threshold` overrides the detector threshold (used during calibration);
-    otherwise a fixed spec value is taken as-is and a calibrate spec is
-    resolved by running the calibration here. Per step the random generator
-    draws measurement noise first, process noise second.
+    `threshold` overrides the detector threshold (calibration runs with
+    inf); without it `resolve_threshold` supplies one, calibrating here if
+    the spec asks for it. Per step the random generator draws measurement
+    noise first, process noise second.
     """
     horizon = scenario.horizon if horizon is None else int(horizon)
     seed = scenario.seed if seed is None else seed
-    if threshold is not None:
-        thr = float(threshold)
-    elif scenario.detector.threshold.mode == "fixed":
-        thr = float(scenario.detector.threshold.value)
-    else:
-        thr = calibrate_threshold(scenario.without_attack())
+    thr = resolve_threshold(scenario) if threshold is None else float(threshold)
 
     plant, ctrl, det = scenario.plant, scenario.controller, scenario.detector
     wm, attack = scenario.watermark, scenario.attack
@@ -664,15 +690,13 @@ def run_scenario(scenario: Scenario, *, horizon: int | None = None,
     k_r_col = det.K[:, 0]
     n_x = plant.A.shape[0]
 
-    generator: WatermarkUnit | None = None
-    remover: WatermarkUnit | None = None
-    proto_w = proto_q = None
-    if wm.enabled:
-        theta0 = wm.initial_theta()
-        generator, remover = make_pair(theta0)
-        proto_w = SwitchProtocol(wm.make_trigger())
-        proto_q = SwitchProtocol(wm.make_trigger())
-    switching_active = wm.enabled and wm.config is not None and wm.trigger != "none"
+    # without watermark the protocols have no trigger, so no switch is ever pending
+    trigger = None if wm is None else wm.make_trigger()
+    proto_w, proto_q = SwitchProtocol(trigger), SwitchProtocol(trigger)
+    tap_record = []
+    if wm is not None:
+        generator, remover = make_pair(wm.initial_theta())
+        tap_record.append((0, generator.params.taps, remover.params.taps))
 
     n = horizon
     arr = lambda: np.zeros(n)
@@ -680,7 +704,6 @@ def run_scenario(scenario: Scenario, *, horizon: int | None = None,
     t_u, t_yr = arr(), arr()
     t_alarm = np.zeros(n, dtype=bool)
     t_switch = np.zeros(n, dtype=bool)
-    theta_w_log, theta_q_log = [], []
     y_w_history = np.zeros(n)
 
     pend_w = pend_q = False
@@ -689,27 +712,22 @@ def run_scenario(scenario: Scenario, *, horizon: int | None = None,
 
     for k in range(n):
         # 1. apply pending switches (between samples)
-        switched = False
-        if switching_active:
+        if pend_w or pend_q:
             if pend_w:
                 generator.set_params(sigma(pend_w_input, wm.config))
                 pend_w = False
-                switched = True
             if pend_q:
                 remover.set_params(sigma(pend_q_input, wm.config))
                 pend_q = False
-                switched = True
-        t_switch[k] = switched
+            t_switch[k] = True
+            tap_record.append((k, generator.params.taps, remover.params.taps))
 
         # 2. plant output
         v = plant.measurement_noise.sample(rng, 1)
         y_p = float(np.dot(c_p_row, x_p)) + float(v[0])
 
         # 3. watermark, channel, attack, remover
-        if wm.enabled:
-            y_w = generator.step(y_p)
-        else:
-            y_w = y_p
+        y_w = y_p if wm is None else generator.step(y_p)
         y_w_history[k] = y_w
         y_wt, deferred = apply_attack(y_w, y_w_history, attack, k)
         if deferred and not replay_deferred_logged:
@@ -718,10 +736,7 @@ def run_scenario(scenario: Scenario, *, horizon: int | None = None,
                 k, attack.window - k,
             )
             replay_deferred_logged = True
-        if wm.enabled:
-            y_q = remover.step(y_wt)
-        else:
-            y_q = y_wt
+        y_q = y_wt if wm is None else remover.step(y_wt)
 
         # 4. detector residual and alarm test
         y_r = float(np.dot(c_r_row, x_r)) + l_r * y_q
@@ -738,31 +753,23 @@ def run_scenario(scenario: Scenario, *, horizon: int | None = None,
         _check_state("detector", x_r, k)
 
         # 6. triggers for the next step, keyed on this sample's signals
-        if switching_active:
-            if proto_w.check(k, y_p):
-                pend_w, pend_w_input = True, y_p
-            if proto_q.check(k, y_q):
-                pend_q, pend_q_input = True, y_q
+        if proto_w.check(k, y_p):
+            pend_w, pend_w_input = True, y_p
+        if proto_q.check(k, y_q):
+            pend_q, pend_q_input = True, y_q
 
         t_yp[k], t_yw[k], t_ywt[k], t_yq[k] = y_p, y_w, y_wt, y_q
         t_u[k] = float(u[0])
         t_yr[k] = y_r
         t_alarm[k] = alarm
-        if wm.enabled:
-            theta_w_log.append(generator.params.taps)
-            theta_q_log.append(remover.params.taps)
-        else:
-            theta_w_log.append(None)
-            theta_q_log.append(None)
 
     return SimTrace(
         k=np.arange(n),
         y_p=t_yp, y_w=t_yw, y_w_tilde=t_ywt, y_q=t_yq,
         u=t_u, y_r=t_yr, y_r_bar=np.full(n, thr),
-        alarm=t_alarm, switch=t_switch,
-        theta_w=theta_w_log, theta_q=theta_q_log,
-        trigger_times_generator=list(proto_w.switch_times) if proto_w else [],
-        trigger_times_remover=list(proto_q.switch_times) if proto_q else [],
+        alarm=t_alarm, switch=t_switch, taps=tap_record,
+        trigger_times_generator=list(proto_w.switch_times),
+        trigger_times_remover=list(proto_q.switch_times),
         metadata={"seed": seed, "threshold": thr, "horizon": n,
                   "attack": attack.to_dict(), "scenario": scenario.to_dict()},
     )

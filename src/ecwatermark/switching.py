@@ -24,7 +24,7 @@ import warnings
 from dataclasses import dataclass
 
 from .curve import Curve, Point
-from .errors import ConfigError, ConfigurationWarning, InputError
+from .errors import CapacityError, ConfigError, ConfigurationWarning, InputError
 
 __all__ = [
     "FirParams",
@@ -318,7 +318,7 @@ class SwitchingConfig:
                 eta_margin=float(data.get("eta_margin", 0.05)),
                 eta_slope=float(data.get("eta_slope", 1.0)),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError, CapacityError) as exc:
             raise ConfigError(str(exc), path=path) from exc
 
     def to_dict(self) -> dict:

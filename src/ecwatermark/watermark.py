@@ -112,14 +112,7 @@ class WatermarkUnit:
             raise ValueError(f"role must be one of {self.ROLES}")
         self.role = role
         self._taps = self._admissible(params)
-        n = len(self._taps) - 1
-        if state is None:
-            self._register = (0.0,) * n
-        else:
-            reg = tuple(float(v) for v in state)
-            if len(reg) != n:
-                raise ValueError(f"state must have length {n}")
-            self._register = reg
+        self.reset(state)
 
     @staticmethod
     def _admissible(params) -> tuple[float, ...]:
@@ -156,6 +149,7 @@ class WatermarkUnit:
         self._taps = taps
 
     def reset(self, state=None) -> None:
+        """Zero the shift register, or load `state` (most recent entry first)."""
         n = len(self._taps) - 1
         if state is None:
             self._register = (0.0,) * n
@@ -185,8 +179,7 @@ class WatermarkUnit:
 
 def make_pair(theta) -> tuple[WatermarkUnit, WatermarkUnit]:
     """Generator and remover with the given taps and zero registers."""
-    taps = WatermarkUnit._admissible(theta)
-    return WatermarkUnit("generator", taps), WatermarkUnit("remover", taps)
+    return WatermarkUnit("generator", theta), WatermarkUnit("remover", theta)
 
 
 def apply_switch(generator: WatermarkUnit, remover: WatermarkUnit, theta_new) -> None:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -175,6 +176,36 @@ def test_sim_io_error_exit_code(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")
     assert main(["sim", "--scenario", str(path), "--out", str(blocker / "x")]) == 4
+
+
+@pytest.mark.parametrize("field,value", [
+    ("horizon", "abc"),
+    ("horizon", 2.7),
+    ("seed", True),
+    ("watermark.protocol.period", "x"),
+    ("watermark.protocol.period", 2.7),
+    ("watermark.protocol.bound", "x"),
+    ("watermark.theta0", ["a", 0.0, 0.0]),
+    ("attack.start", 1.5),
+    ("attack.window", 2.7),
+    ("attack.magnitude", "big"),
+    ("detector.threshold.value", math.nan),
+    ("detector.threshold.runs", 2.5),
+    ("detector.threshold.quantile", "q"),
+    ("detector.threshold.safety", True),
+    ("detector.threshold.floor", math.inf),
+])
+def test_sim_bad_scalar_reports_field(tmp_path, capsys, field, value):
+    path = _write_short_scenario(tmp_path)
+    d = json.loads(path.read_text())
+    *parents, leaf = field.split(".")
+    node = d
+    for key in parents:
+        node = node[key]
+    node[leaf] = value
+    path.write_text(json.dumps(d))
+    assert main(["sim", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
 
 
 # -- demo -----------------------------------------------------------------------------

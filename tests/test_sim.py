@@ -1,8 +1,12 @@
+import copy
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ecwatermark import (
     AttackSpec,
@@ -84,6 +88,79 @@ def test_dimension_mismatch_reports_path():
     assert "plant.B" in str(err.value)
 
 
+@pytest.mark.parametrize("section,key", [
+    ("plant", "A"), ("plant", "B"), ("controller", "A"), ("detector", "A"),
+])
+def test_nan_matrix_reports_path(section, key):
+    d = small_scenario_dict()
+    d[section][key] = [[math.nan]]
+    with pytest.raises(ConfigError) as err:
+        Scenario.from_dict(d)
+    assert f"{section}.{key}" in str(err.value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_overflowing_closed_loop_rejected():
+    # finite entries whose product overflows: the loop check must not hit inf
+    d = small_scenario_dict()
+    d["plant"]["B"] = [[1e200]]
+    d["controller"]["D"] = [[1e200]]
+    with pytest.raises(ConfigError) as err:
+        Scenario.from_dict(d)
+    assert "Schur" in str(err.value)
+
+
+def test_watermark_off_forms():
+    on = json.loads(shipped.data_text("scenario_nominal.json"))
+    assert isinstance(Scenario.from_dict(on).watermark, WatermarkSetup)
+    off = dict(on, watermark={"enabled": False})
+    assert Scenario.from_dict(off).watermark is None
+    del off["watermark"]
+    sc = Scenario.from_dict(off)
+    assert sc.watermark is None
+    assert sc.to_dict()["watermark"] is None
+    trace = run_scenario(sc, horizon=50, threshold=0.2)
+    assert trace.taps == [] and np.array_equal(trace.y_q, trace.y_p)
+
+
+def _leaf_paths(node, prefix=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        yield prefix
+        return
+    for key, child in items:
+        yield from _leaf_paths(child, prefix + (key,))
+
+
+_NOMINAL = json.loads(shipped.data_text("scenario_nominal.json"))
+_JSON_LIKE = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=6),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(), st.integers(min_value=2**1024, max_value=2**1100),
+    st.floats(allow_nan=False),
+    st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=3)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@pytest.mark.filterwarnings("ignore")
+@given(st.sampled_from(list(_leaf_paths(_NOMINAL))), _JSON_LIKE)
+def test_loader_fuzz_one_leaf(path, value):
+    # any replaced leaf either loads or raises ConfigError, nothing else
+    d = copy.deepcopy(_NOMINAL)
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        Scenario.from_dict(d)
+    except ConfigError:
+        pass
+
+
 def test_scenario_round_trip(tmp_path):
     sc = shipped.load_scenario("nominal")
     path = tmp_path / "sc.json"
@@ -147,7 +224,7 @@ def test_identical_seeds_identical_traces():
     b = run_scenario(sc, horizon=300, threshold=0.2)
     for name in ("y_p", "y_w", "y_w_tilde", "y_q", "u", "y_r"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
-    assert a.theta_w == b.theta_w
+    assert a.taps == b.taps
 
 
 def test_different_seeds_differ():
@@ -215,8 +292,10 @@ def test_switch_inputs_use_previous_sample():
     sc = shipped.load_scenario("nominal")
     trace = run_scenario(sc, horizon=200, threshold=0.2)
     cfg = sc.watermark.config
-    for k in trace.switch_steps:
-        assert trace.theta_w[k] == sigma(float(trace.y_p[k - 1]), cfg).taps
+    assert [k for k, _, _ in trace.taps] == [0] + trace.switch_steps
+    for k, generator_taps, remover_taps in trace.taps[1:]:
+        assert generator_taps == sigma(float(trace.y_p[k - 1]), cfg).taps
+        assert remover_taps == generator_taps
 
 
 # -- detection ---------------------------------------------------------------------
@@ -232,6 +311,7 @@ def test_replay_without_switching_stays_quiet():
     sc = shipped.load_scenario("replay_static")
     trace = run_scenario(sc, seed=104, threshold=0.18)
     assert not [k for k in trace.alarm_steps if 1200 <= k <= 1320]
+    assert len(trace.taps) == 1  # trigger "none" keeps the starting taps
 
 
 def test_desync_barrier_matches_attack_start():
@@ -307,7 +387,7 @@ def test_divergence_names_offending_block():
         threshold=ThresholdSpec(mode="fixed", value=1.0),
     )
     sc = Scenario(plant=plant, controller=ctrl, detector=det,
-                  watermark=WatermarkSetup(enabled=False, config=None, trigger="none"),
+                  watermark=None,
                   horizon=400, seed=0)
     with pytest.raises(DivergenceError) as err:
         run_scenario(sc)
