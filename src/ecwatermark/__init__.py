@@ -1,6 +1,6 @@
 """Curve-keyed switching for multiplicative watermarking in control loops.
 
-Layers, bottom up: exact prime-field arithmetic (`field`), the curve group
+Layers, bottom up: primality and square roots mod s (`field`), the curve group
 (`curve`), the keyed switching map producing filter taps (`switching`), the
 watermark generator/remover pair (`watermark`), the closed-loop simulator
 (`sim`), and sweep/partition analyses (`analysis`). `ecwm` is the CLI.
@@ -14,10 +14,9 @@ from .errors import (
     DivergenceError,
     EcwmError,
     InputError,
-    NonInvertibleError,
     ParameterError,
 )
-from .field import FieldElement, is_prime, sqrt_candidates
+from .field import is_prime, sqrt_candidates
 from .sim import (
     AttackSpec,
     ControllerModel,

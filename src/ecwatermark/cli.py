@@ -32,6 +32,14 @@ EXIT_DIVERGENCE = 3
 EXIT_IO = 4
 
 
+def seed(text: str) -> int:
+    """A random-generator seed: numpy accepts only non-negative integers."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {value}")
+    return value
+
+
 def _point_json(p):
     return None if p.is_infinity else [p.x, p.y]
 
@@ -194,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refs", default="0,1,10,100", help="comma-separated references")
     p.add_argument("--n", type=int, default=500, help="realizations per reference")
     p.add_argument("--halfwidth", type=float, default=0.05, help="noise halfwidth")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--svg", action="store_true", help="also render SVG figures")
     p.set_defaults(func=cmd_sweep)
 
@@ -210,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sim", help="run a closed-loop scenario")
     p.add_argument("--scenario", required=True, help="scenario JSON file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=seed, default=None,
                    help="override the run seed (calibration keeps the file seed)")
     p.set_defaults(func=cmd_sim)
 

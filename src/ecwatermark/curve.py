@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CapacityError, ConfigError, InputError
 from .field import is_prime
 
-DEFAULT_ENUMERATION_BOUND = 10_000
+ENUMERATION_BOUND = 10_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,8 +53,7 @@ class Curve:
     Construction rejects singular parameter choices (4a^3 + 27b^2 = 0 mod s).
     """
 
-    def __init__(self, a: int, b: int, s: int,
-                 enumeration_bound: int = DEFAULT_ENUMERATION_BOUND):
+    def __init__(self, a: int, b: int, s: int):
         if not isinstance(s, int) or not is_prime(s):
             raise ConfigError(f"field size {s!r} is not prime", path="curve.s")
         if s < 5:
@@ -68,7 +67,6 @@ class Curve:
         self.a = a
         self.b = b
         self.s = s
-        self.enumeration_bound = enumeration_bound
         self._affine: list[Point] | None = None
         self._xs: np.ndarray | None = None
         self._ys: np.ndarray | None = None
@@ -146,9 +144,9 @@ class Curve:
     def affine_points(self) -> list[Point]:
         """All affine points, sorted by (x, y). Cached after the first call."""
         if self._affine is None:
-            if self.s > self.enumeration_bound:
+            if self.s > ENUMERATION_BOUND:
                 raise CapacityError(
-                    f"field size {self.s} exceeds enumeration bound {self.enumeration_bound}"
+                    f"field size {self.s} exceeds enumeration bound {ENUMERATION_BOUND}"
                 )
             s, a, b = self.s, self.a, self.b
             # roots[v] lists every y with y*y = v, ascending because y is

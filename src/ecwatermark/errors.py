@@ -5,10 +5,6 @@ class EcwmError(Exception):
     """Base class for errors raised by this package."""
 
 
-class NonInvertibleError(EcwmError):
-    """Multiplicative inversion of a field element that has no inverse."""
-
-
 class CapacityError(EcwmError):
     """A point-enumeration bound was exceeded."""
 
@@ -21,6 +17,7 @@ class ConfigError(EcwmError):
     """A configuration file or object failed validation."""
 
     def __init__(self, message: str, path: str | None = None):
+        self.message = message
         self.path = path
         super().__init__(f"{path}: {message}" if path else message)
 

@@ -28,12 +28,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .switching import FirParams, SwitchingConfig, sigma
+from .switching import FirParams, SwitchingConfig, _integer, _number, _numbers, sigma
 from .watermark import PeriodicTrigger, SwitchProtocol, ThresholdTrigger, make_pair
 
 log = logging.getLogger(__name__)
 
 STATE_OVERFLOW = 1e12
+
+# The longest accepted run: 500 times the shipped horizon, about 75 MB of
+# trace columns and a minute or two of stepping. Longer horizons are refused
+# at load, since from some length on numpy cannot even allocate the columns.
+MAX_HORIZON = 1_000_000
 
 __all__ = [
     "NoiseSpec",
@@ -56,28 +61,6 @@ def _require_mapping(value, path):
     if not isinstance(value, dict):
         raise ConfigError("section must be a JSON object", path=path)
     return value
-
-
-def _integer(value, path) -> int:
-    """An integer field; integral floats such as 60.0 pass, bools and 2.7 do not."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"expected an integer, got {value!r}", path=path)
-    return value
-
-
-def _number(value, path) -> float:
-    """A finite real field; bools, strings and NaN/inf do not pass."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"expected a number, got {value!r}", path=path)
-    try:
-        number = float(value)
-    except OverflowError as exc:
-        raise ConfigError(f"number out of range: {exc}", path=path) from exc
-    if not math.isfinite(number):
-        raise ConfigError("must be finite", path=path)
-    return number
 
 
 def _array(value, path, shape_ok, expected) -> np.ndarray:
@@ -407,8 +390,7 @@ class WatermarkSetup:
         if theta0 == "auto" or theta0 is None:
             theta0 = None
         elif isinstance(theta0, list) and len(theta0) == config.n_h + 1:
-            theta0 = FirParams(tuple(_number(v, f"{path}.theta0[{i}]")
-                                     for i, v in enumerate(theta0)))
+            theta0 = FirParams(_numbers(theta0, f"{path}.theta0"))
         else:
             raise ConfigError(f'expected "auto" or a list of {config.n_h + 1} taps',
                               path=f"{path}.theta0")
@@ -459,8 +441,8 @@ class Scenario:
             if key not in data:
                 raise ConfigError("missing required section", path=f"{path}.{key}")
         horizon = _integer(data.get("horizon", 1000), f"{path}.horizon")
-        if horizon < 1:
-            raise ConfigError("horizon must be positive", path=f"{path}.horizon")
+        if not 1 <= horizon <= MAX_HORIZON:
+            raise ConfigError(f"horizon must lie in [1, {MAX_HORIZON}]", path=f"{path}.horizon")
         plant = PlantModel.from_dict(data["plant"], f"{path}.plant")
         n_u = plant.B.shape[1]
         controller = ControllerModel.from_dict(data["controller"], n_u, f"{path}.controller")
@@ -624,30 +606,26 @@ def _check_state(name: str, state: np.ndarray, step: int) -> None:
         raise DivergenceError(name, step, peak)
 
 
-def calibrate_threshold(scenario: Scenario, n_runs: int | None = None,
-                        quantile: float | None = None, safety: float | None = None,
-                        seed: int | None = None) -> float:
+def calibrate_threshold(scenario: Scenario) -> float:
     """Constant detector threshold from attack-free runs.
 
-    Pools |residual| over `n_runs` seeded runs and returns the requested
-    quantile (1.0 means the maximum) times the safety factor; a zero result
-    (noiseless scenario) is floored at the configured minimum. Calibration
-    seeds derive from the scenario seed, so the value is reproducible and
-    independent of any per-run seed override used afterwards.
+    Pools |residual| over the spec's `runs` seeded runs and returns its
+    `quantile` (1.0 means the maximum) times its `safety` factor; a zero
+    result (noiseless scenario) is floored at the spec's `floor`.
+    Calibration seeds derive from the scenario seed, so the value is
+    reproducible and independent of any per-run seed override used
+    afterwards.
     """
     if scenario.attack.kind != "none":
         raise ValueError("threshold calibration requires an attack-free scenario")
     spec = scenario.detector.threshold
-    n_runs = spec.runs if n_runs is None else int(n_runs)
-    quantile = spec.quantile if quantile is None else float(quantile)
-    safety = spec.safety if safety is None else float(safety)
-    base = (scenario.seed if seed is None else seed) + 1_000_003
+    base = scenario.seed + 1_000_003
     samples = []
-    for i in range(n_runs):
+    for i in range(spec.runs):
         trace = run_scenario(scenario, seed=base + i, threshold=math.inf)
         samples.append(np.abs(trace.y_r))
     pooled = np.concatenate(samples)
-    value = float(np.quantile(pooled, quantile)) * safety
+    value = float(np.quantile(pooled, spec.quantile)) * spec.safety
     return value if value > 0.0 else spec.floor
 
 
@@ -696,7 +674,7 @@ def run_scenario(scenario: Scenario, *, horizon: int | None = None,
     tap_record = []
     if wm is not None:
         generator, remover = make_pair(wm.initial_theta())
-        tap_record.append((0, generator.params.taps, remover.params.taps))
+        tap_record.append((0, generator.taps, remover.taps))
 
     n = horizon
     arr = lambda: np.zeros(n)
@@ -720,7 +698,7 @@ def run_scenario(scenario: Scenario, *, horizon: int | None = None,
                 remover.set_params(sigma(pend_q_input, wm.config))
                 pend_q = False
             t_switch[k] = True
-            tap_record.append((k, generator.params.taps, remover.params.taps))
+            tap_record.append((k, generator.taps, remover.taps))
 
         # 2. plant output
         v = plant.measurement_noise.sample(rng, 1)

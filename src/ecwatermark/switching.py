@@ -93,8 +93,6 @@ def validate_theta(taps) -> ThetaValidation:
     sum_{i>=2} |b_i / b0| strictly below 1 - |b1|. The report names the
     first condition that fails.
     """
-    if isinstance(taps, FirParams):
-        taps = taps.taps
     taps = tuple(float(v) for v in taps)
     if len(taps) < 2:
         raise ValueError("need at least taps b0 and b1")
@@ -108,6 +106,35 @@ def validate_theta(taps) -> ThetaValidation:
     if total >= 1.0 - abs(taps[1]):
         return ThetaValidation(False, "sum(|b_i/b0|, i>=2) must stay below 1 - |b1|")
     return ThetaValidation(True)
+
+
+def _integer(value, path) -> int:
+    """An integer field; integral floats such as 60.0 pass, bools and 2.7 do not."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"expected an integer, got {value!r}", path=path)
+    return value
+
+
+def _number(value, path) -> float:
+    """A finite real field; bools, strings and NaN/inf do not pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"expected a number, got {value!r}", path=path)
+    try:
+        number = float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"number out of range: {exc}", path=path) from exc
+    if not math.isfinite(number):
+        raise ConfigError("must be finite", path=path)
+    return number
+
+
+def _numbers(value, path) -> tuple[float, ...]:
+    """A list of finite real fields."""
+    if not isinstance(value, list):
+        raise ConfigError(f"expected a list of numbers, got {value!r}", path=path)
+    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
 # squashed second tap never exceeds this in magnitude
@@ -170,6 +197,8 @@ def eta1(point: Point, rows) -> tuple[float, ...]:
         acc = 0.0
         for c in reversed(row):
             acc = acc * t + c
+        if not math.isfinite(acc):
+            raise InputError(f"feature map of {point!r} overflowed double precision")
         out.append(acc)
     return tuple(out)
 
@@ -300,26 +329,29 @@ class SwitchingConfig:
             return d[key]
 
         curve_d = need(data, "curve", path)
-        curve = Curve(
-            need(curve_d, "a", f"{path}.curve"),
-            need(curve_d, "b", f"{path}.curve"),
-            need(curve_d, "s", f"{path}.curve"),
-        )
+        a, b, s = (_integer(need(curve_d, key, f"{path}.curve"), f"{path}.curve.{key}")
+                   for key in ("a", "b", "s"))
         alpha = need(data, "alpha", path)
+        rows = need(data, "eta1", path)
+        if not isinstance(rows, list):
+            raise ConfigError("expected a list of coefficient rows", path=f"{path}.eta1")
+        fields = dict(
+            l=_integer(need(data, "l", path), f"{path}.l"),
+            alpha_x=_numbers(need(alpha, "x", f"{path}.alpha"), f"{path}.alpha.x"),
+            alpha_y=_numbers(need(alpha, "y", f"{path}.alpha"), f"{path}.alpha.y"),
+            eta1_rows=tuple(_numbers(row, f"{path}.eta1[{i}]") for i, row in enumerate(rows)),
+            n_h=_integer(need(data, "n_h", path), f"{path}.n_h"),
+            eta_floor=_number(data.get("eta_floor", 1.0), f"{path}.eta_floor"),
+            eta_margin=_number(data.get("eta_margin", 0.05), f"{path}.eta_margin"),
+            eta_slope=_number(data.get("eta_slope", 1.0), f"{path}.eta_slope"),
+        )
         try:
-            return cls(
-                curve=curve,
-                l=need(data, "l", path),
-                alpha_x=need(alpha, "x", f"{path}.alpha"),
-                alpha_y=need(alpha, "y", f"{path}.alpha"),
-                eta1_rows=need(data, "eta1", path),
-                n_h=need(data, "n_h", path),
-                eta_floor=float(data.get("eta_floor", 1.0)),
-                eta_margin=float(data.get("eta_margin", 0.05)),
-                eta_slope=float(data.get("eta_slope", 1.0)),
-            )
-        except (TypeError, ValueError, OverflowError, CapacityError) as exc:
-            raise ConfigError(str(exc), path=path) from exc
+            return cls(curve=Curve(a, b, s), **fields)
+        except CapacityError as exc:
+            raise ConfigError(str(exc), path=f"{path}.curve.s") from exc
+        except ConfigError as exc:
+            # Curve and __post_init__ name their fields relative to the config
+            raise ConfigError(exc.message, path=f"{path}.{exc.path}") from exc
 
     def to_dict(self) -> dict:
         return {

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ParameterError
-from .switching import FirParams, validate_theta
+from .switching import validate_theta
 
 __all__ = [
     "WatermarkUnit",
@@ -35,8 +35,6 @@ __all__ = [
 
 
 def _taps(theta) -> tuple[float, ...]:
-    if isinstance(theta, FirParams):
-        return theta.taps
     return tuple(float(v) for v in theta)
 
 
@@ -101,8 +99,8 @@ def check_stability(theta) -> StabilityReport:
 class WatermarkUnit:
     """One endpoint of the pair; role is 'generator' or 'remover'.
 
-    Single-owner mutable state: do not step one unit from several threads.
-    Distinct units are independent.
+    `taps` is the tap tuple in force. Single-owner mutable state: do not
+    step one unit from several threads. Distinct units are independent.
     """
 
     ROLES = ("generator", "remover")
@@ -111,7 +109,7 @@ class WatermarkUnit:
         if role not in self.ROLES:
             raise ValueError(f"role must be one of {self.ROLES}")
         self.role = role
-        self._taps = self._admissible(params)
+        self.taps = self._admissible(params)
         self.reset(state)
 
     @staticmethod
@@ -125,10 +123,6 @@ class WatermarkUnit:
         return taps
 
     @property
-    def params(self) -> FirParams:
-        return FirParams(self._taps)
-
-    @property
     def state(self) -> np.ndarray:
         """Shift register, most recent entry first."""
         return np.array(self._register)
@@ -136,21 +130,21 @@ class WatermarkUnit:
     @property
     def matrices(self):
         if self.role == "generator":
-            return generator_matrices(self._taps)
-        return remover_matrices(self._taps)
+            return generator_matrices(self.taps)
+        return remover_matrices(self.taps)
 
     def set_params(self, params) -> None:
         """Adopt new taps; the shift register is kept in place (identity jump)."""
         taps = self._admissible(params)
-        if len(taps) != len(self._taps):
+        if len(taps) != len(self.taps):
             raise ParameterError(
-                f"tap count changed from {len(self._taps)} to {len(taps)}"
+                f"tap count changed from {len(self.taps)} to {len(taps)}"
             )
-        self._taps = taps
+        self.taps = taps
 
     def reset(self, state=None) -> None:
         """Zero the shift register, or load `state` (most recent entry first)."""
-        n = len(self._taps) - 1
+        n = len(self.taps) - 1
         if state is None:
             self._register = (0.0,) * n
         else:
@@ -164,7 +158,7 @@ class WatermarkUnit:
         demodulates; each shifts its own register afterwards."""
         if not isinstance(value, (int, float)) or not math.isfinite(value):
             raise InputError(f"sample must be finite, got {value!r}")
-        taps, reg = self._taps, self._register
+        taps, reg = self.taps, self._register
         acc = 0.0
         for b, r in zip(taps[1:], reg):
             acc += b * r
@@ -184,10 +178,10 @@ def make_pair(theta) -> tuple[WatermarkUnit, WatermarkUnit]:
 
 def apply_switch(generator: WatermarkUnit, remover: WatermarkUnit, theta_new) -> None:
     """Synchronized parameter switch: both units adopt the new taps between
-    samples; registers are retained as-is."""
-    taps = WatermarkUnit._admissible(theta_new)
-    generator.set_params(taps)
-    remover.set_params(taps)
+    samples; registers are retained as-is. The generator validates first, so
+    inadmissible taps change neither unit."""
+    generator.set_params(theta_new)
+    remover.set_params(theta_new)
 
 
 @dataclass(frozen=True)

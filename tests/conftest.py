@@ -1,5 +1,8 @@
+import math
+
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from ecwatermark import Curve, shipped
 
@@ -41,3 +44,28 @@ def small_scenario_dict(**overrides):
     }
     d.update(overrides)
     return d
+
+
+def leaf_paths(node, prefix=()):
+    """Key paths of every non-container value in a parsed JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        yield prefix
+        return
+    for key, child in items:
+        yield from leaf_paths(child, prefix + (key,))
+
+
+# Replacement values for one JSON leaf: every JSON type, non-finite floats
+# and integers too large for a double.
+JSON_LIKE = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=6),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(), st.integers(min_value=2**1024, max_value=2**1100),
+    st.floats(allow_nan=False),
+    st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=3)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)

@@ -1,10 +1,20 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ecwatermark import shipped
 from ecwatermark.cli import main
+from ecwatermark.sim import MAX_HORIZON
+
+from conftest import JSON_LIKE, leaf_paths
 
 
 @pytest.fixture()
@@ -84,6 +94,49 @@ def test_switch_eval_bad_config_reports_field(tmp_path, capsys):
     path.write_text(json.dumps({"curve": {"s": 17, "a": 2, "b": 2}, "l": 7}))
     assert main(["switch-eval", "--config", str(path), "--y", "1.0"]) == 2
     assert "alpha" in capsys.readouterr().err
+
+
+def _set_leaf(d, keys, value):
+    *parents, leaf = keys
+    for key in parents:
+        d = d[key]
+    d[leaf] = value
+
+
+# (field, bad value, path of the field reported on stderr)
+_BAD_CONFIG_FIELDS = [
+    ("l", True, "l"),
+    ("l", "7", "l"),
+    ("eta_floor", "1.5", "eta_floor"),
+    ("eta_slope", "2", "eta_slope"),
+    ("eta_margin", 2.0, "eta_margin"),
+    ("n_h", "2", "n_h"),
+    ("curve.a", True, "curve.a"),
+    ("curve.s", 15, "curve.s"),
+    ("alpha.x", [4.0, True], "alpha.x[1]"),
+    ("eta1", [[0.0, "0.5"], [0.0], [1.0]], "eta1[0][1]"),
+]
+
+
+@pytest.mark.parametrize("command", ["switch-eval", "sim"])
+@pytest.mark.parametrize("field,value,reported", _BAD_CONFIG_FIELDS)
+def test_bad_switching_config_reports_full_path(tmp_path, capsys, command, field, value,
+                                                reported):
+    if command == "switch-eval":
+        d = json.loads(shipped.data_text("demo_config.json"))
+        _set_leaf(d, field.split("."), value)
+        path = tmp_path / "config.json"
+        argv = ["switch-eval", "--config", str(path), "--y", "1.0"]
+        expected = f"{path}.{reported}"
+    else:
+        d = json.loads(_write_short_scenario(tmp_path).read_text())
+        _set_leaf(d["watermark"]["config"], field.split("."), value)
+        path = tmp_path / "scenario.json"
+        argv = ["sim", "--scenario", str(path), "--out", str(tmp_path / "out")]
+        expected = f"{path}.watermark.config.{reported}"
+    path.write_text(json.dumps(d))
+    assert main(argv) == 2
+    assert expected in capsys.readouterr().err
 
 
 # -- sweep ---------------------------------------------------------------------------
@@ -181,6 +234,8 @@ def test_sim_io_error_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("field,value", [
     ("horizon", "abc"),
     ("horizon", 2.7),
+    ("horizon", 1e30),
+    ("horizon", 10**30),
     ("seed", True),
     ("watermark.protocol.period", "x"),
     ("watermark.protocol.period", 2.7),
@@ -198,14 +253,61 @@ def test_sim_io_error_exit_code(tmp_path, capsys):
 def test_sim_bad_scalar_reports_field(tmp_path, capsys, field, value):
     path = _write_short_scenario(tmp_path)
     d = json.loads(path.read_text())
-    *parents, leaf = field.split(".")
-    node = d
-    for key in parents:
-        node = node[key]
-    node[leaf] = value
+    _set_leaf(d, field.split("."), value)
     path.write_text(json.dumps(d))
     assert main(["sim", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sim", "sweep"])
+def test_negative_seed_rejected_at_parsing(tmp_path, capsys, demo_config_file, command):
+    if command == "sim":
+        argv = ["sim", "--scenario", str(_write_short_scenario(tmp_path))]
+    else:
+        argv = ["sweep", "--config", str(demo_config_file)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out"), "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _short_scenario(name):
+    d = json.loads(shipped.data_text(f"scenario_{name}.json"))
+    d["horizon"] = 50
+    d["detector"]["threshold"] = {"mode": "fixed", "value": 0.2}
+    return d
+
+
+_FUZZ_BASES = {"demo_config.json": json.loads(shipped.data_text("demo_config.json"))}
+_FUZZ_BASES.update({f"scenario_{name}.json": _short_scenario(name)
+                    for name in shipped.SCENARIOS})
+_FUZZ_LEAVES = [(name, path) for name, base in _FUZZ_BASES.items()
+                for path in leaf_paths(base)]
+
+
+@pytest.mark.filterwarnings("ignore")
+@given(st.sampled_from(_FUZZ_LEAVES), JSON_LIKE)
+@example(("scenario_nominal.json", ("horizon",)), 1e30)
+@example(("demo_config.json", ("eta1", 0, 1)), 1.2175514244421283e+307)
+def test_cli_fuzz_one_leaf(leaf, value):
+    # one replaced leaf of a shipped file: the command succeeds or exits with
+    # a documented code, and never escapes with an exception
+    name, path = leaf
+    if path == ("horizon",) and isinstance(value, (int, float)) and 50 < value <= MAX_HORIZON:
+        value = 50  # a valid horizon this long would make the run slow
+    d = copy.deepcopy(_FUZZ_BASES[name])
+    _set_leaf(d, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / name
+        file.write_text(json.dumps(d))
+        if name == "demo_config.json":
+            argv = ["switch-eval", "--config", str(file), "--y", "10.0"]
+        else:
+            argv = ["sim", "--scenario", str(file), "--out", str(Path(tmp) / "out")]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 2, 3, 4)
 
 
 # -- demo -----------------------------------------------------------------------------

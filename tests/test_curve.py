@@ -8,7 +8,6 @@ from ecwatermark import (
     CapacityError,
     ConfigError,
     Curve,
-    FieldElement,
     InputError,
     Point,
     sqrt_candidates,
@@ -39,8 +38,8 @@ def order_by_repeated_add(curve, p):
 def enumerate_by_sqrt(curve):
     """Reference enumeration: per-x square roots from the field layer."""
     s = curve.s
-    return [Point(x, r.value) for x in range(s)
-            for r in sqrt_candidates(FieldElement(x ** 3 + curve.a * x + curve.b, s))]
+    return [Point(x, y) for x in range(s)
+            for y in sqrt_candidates(x ** 3 + curve.a * x + curve.b, s)]
 
 
 def nearest_by_scan(curve, x, y):

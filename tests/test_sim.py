@@ -23,7 +23,7 @@ from ecwatermark import (
     run_scenario,
     shipped,
 )
-from conftest import small_scenario_dict
+from conftest import JSON_LIKE, leaf_paths, small_scenario_dict
 
 
 # -- block closed forms --------------------------------------------------------
@@ -123,31 +123,11 @@ def test_watermark_off_forms():
     assert trace.taps == [] and np.array_equal(trace.y_q, trace.y_p)
 
 
-def _leaf_paths(node, prefix=()):
-    if isinstance(node, dict):
-        items = node.items()
-    elif isinstance(node, list):
-        items = enumerate(node)
-    else:
-        yield prefix
-        return
-    for key, child in items:
-        yield from _leaf_paths(child, prefix + (key,))
-
-
 _NOMINAL = json.loads(shipped.data_text("scenario_nominal.json"))
-_JSON_LIKE = st.one_of(
-    st.none(), st.booleans(), st.text(max_size=6),
-    st.sampled_from([math.nan, math.inf, -math.inf]),
-    st.integers(), st.integers(min_value=2**1024, max_value=2**1100),
-    st.floats(allow_nan=False),
-    st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=3)), max_size=3),
-    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
-)
 
 
 @pytest.mark.filterwarnings("ignore")
-@given(st.sampled_from(list(_leaf_paths(_NOMINAL))), _JSON_LIKE)
+@given(st.sampled_from(list(leaf_paths(_NOMINAL))), JSON_LIKE)
 def test_loader_fuzz_one_leaf(path, value):
     # any replaced leaf either loads or raises ConfigError, nothing else
     d = copy.deepcopy(_NOMINAL)
@@ -260,8 +240,10 @@ def test_identity_watermark_equals_disabled():
 
 
 def test_nominal_transparency_and_no_alarms():
-    sc = shipped.load_scenario("nominal")
-    thr = calibrate_threshold(sc, n_runs=5)
+    d = json.loads(shipped.data_text("scenario_nominal.json"))
+    d["detector"]["threshold"]["runs"] = 5
+    sc = Scenario.from_dict(d)
+    thr = calibrate_threshold(sc)
     trace = run_scenario(sc, threshold=thr)
     assert trace.max_reconstruction_error < 1e-9
     assert trace.summary()["n_alarms"] == 0
@@ -335,24 +317,26 @@ def test_zero_noise_calibration_hits_floor():
 def test_calibration_monotone_in_safety():
     d = small_scenario_dict(horizon=80)
     d["plant"]["measurement_noise"] = {"kind": "uniform", "low": [-0.05], "high": [0.05]}
-    sc = Scenario.from_dict(d)
-    lo = calibrate_threshold(sc, n_runs=4, safety=1.2)
-    hi = calibrate_threshold(sc, n_runs=4, safety=2.4)
+    d["detector"]["threshold"] = {"mode": "calibrate", "runs": 4, "safety": 1.2}
+    lo = calibrate_threshold(Scenario.from_dict(d))
+    d["detector"]["threshold"]["safety"] = 2.4
+    hi = calibrate_threshold(Scenario.from_dict(d))
     assert hi == pytest.approx(2 * lo, rel=1e-12)
 
 
 def test_calibration_requires_attack_free():
     sc = shipped.load_scenario("replay")
     with pytest.raises(ValueError):
-        calibrate_threshold(sc, n_runs=2)
+        calibrate_threshold(sc)
 
 
 def test_no_false_alarms_on_held_out_seeds():
     d = small_scenario_dict(horizon=300)
     d["plant"]["process_noise"] = {"kind": "uniform", "low": [-0.02], "high": [0.02]}
     d["plant"]["measurement_noise"] = {"kind": "uniform", "low": [-0.05], "high": [0.05]}
+    d["detector"]["threshold"] = {"mode": "calibrate", "runs": 15}
     sc = Scenario.from_dict(d)
-    thr = calibrate_threshold(sc, n_runs=15)
+    thr = calibrate_threshold(sc)
     for seed in range(40, 48):
         assert run_scenario(sc, seed=seed, threshold=thr).summary()["n_alarms"] == 0
 

@@ -219,12 +219,14 @@ def test_switch_rejects_inadmissible_taps():
     gen, rem = make_pair((1.0, 0.5, 0.2))
     with pytest.raises(ParameterError):
         apply_switch(gen, rem, (1.0, 0.5, 0.6))
+    assert gen.taps == rem.taps == (1.0, 0.5, 0.2)  # neither unit changed
 
 
 def test_switch_rejects_changed_tap_count():
     gen, rem = make_pair((1.0, 0.5, 0.2))
     with pytest.raises(ParameterError):
         apply_switch(gen, rem, (1.0, 0.5))
+    assert gen.taps == rem.taps == (1.0, 0.5, 0.2)
 
 
 def test_mismatched_taps_break_reconstruction():
