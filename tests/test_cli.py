@@ -234,8 +234,6 @@ def test_sim_io_error_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("field,value", [
     ("horizon", "abc"),
     ("horizon", 2.7),
-    ("horizon", 1e30),
-    ("horizon", 10**30),
     ("seed", True),
     ("watermark.protocol.period", "x"),
     ("watermark.protocol.period", 2.7),
@@ -249,6 +247,8 @@ def test_sim_io_error_exit_code(tmp_path, capsys):
     ("detector.threshold.quantile", "q"),
     ("detector.threshold.safety", True),
     ("detector.threshold.floor", math.inf),
+    ("horizon", 1e30),
+    ("horizon", 10**30),
 ])
 def test_sim_bad_scalar_reports_field(tmp_path, capsys, field, value):
     path = _write_short_scenario(tmp_path)
