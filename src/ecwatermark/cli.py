@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -37,6 +38,22 @@ def seed(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"seed must be non-negative, got {value}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    """A count or grid resolution: zero would leave nothing to compute."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def halfwidth(text: str) -> float:
+    """A noise halfwidth h: positive, with a finite full width 2h."""
+    value = float(text)
+    if not (value > 0 and math.isfinite(2 * value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -200,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--refs", default="0,1,10,100", help="comma-separated references")
-    p.add_argument("--n", type=int, default=500, help="realizations per reference")
-    p.add_argument("--halfwidth", type=float, default=0.05, help="noise halfwidth")
+    p.add_argument("--n", type=positive_int, default=500, help="realizations per reference")
+    p.add_argument("--halfwidth", type=halfwidth, default=0.05, help="noise halfwidth")
     p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--svg", action="store_true", help="also render SVG figures")
     p.set_defaults(func=cmd_sweep)
@@ -210,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--grid", type=int, default=170, help="grid resolution per axis")
+    p.add_argument("--grid", type=positive_int, default=170, help="grid resolution per axis")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--svg", action="store_true")
     p.set_defaults(func=cmd_voronoi)

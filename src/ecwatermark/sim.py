@@ -11,7 +11,10 @@ controller. Within one sample the order is fixed and documented:
 3. generator modulates; the attacker may rewrite the channel value;
    remover demodulates;
 4. detector residual and alarm test against the (constant) threshold;
-5. controller output, then all state updates with process noise;
+5. controller output, then all state updates with process noise. The
+   run's noise is drawn before the first step as one block whose row k is
+   (v_k, w_k), in the stream order of a per-step draw: measurement noise
+   first, then process noise;
 6. triggers are evaluated on this sample's signals for the next step.
 
 One run is strictly sequential; runs with different seeds share no state
@@ -34,6 +37,7 @@ from .watermark import PeriodicTrigger, SwitchProtocol, ThresholdTrigger, make_p
 log = logging.getLogger(__name__)
 
 STATE_OVERFLOW = 1e12
+STATE_OVERFLOW_SQ = STATE_OVERFLOW**2
 
 # The longest accepted run: 500 times the shipped horizon, about 75 MB of
 # trace columns and a minute or two of stepping. Longer horizons are refused
@@ -103,12 +107,10 @@ class NoiseSpec:
     mean: tuple[float, ...] | None = None
     std: tuple[float, ...] | None = None
 
-    def sample(self, rng: np.random.Generator, dim: int) -> np.ndarray:
-        if self.kind == "uniform":
-            return rng.uniform(self.low, self.high)
-        if self.kind == "normal":
-            return rng.normal(self.mean, self.std)
-        return np.zeros(dim)
+    @property
+    def params(self) -> tuple:
+        """The two parameter tuples of the kind: (low, high) or (mean, std)."""
+        return (self.low, self.high) if self.kind == "uniform" else (self.mean, self.std)
 
     @classmethod
     def from_dict(cls, data, dim: int, path: str) -> "NoiseSpec":
@@ -124,6 +126,8 @@ class NoiseSpec:
             high = _vector(data.get("high"), dim, f"{path}.high")
             if np.any(low > high):
                 raise ConfigError("low must not exceed high", path=path)
+            if not all(math.isfinite(h - l) for l, h in zip(low.tolist(), high.tolist())):
+                raise ConfigError("high - low must be finite", path=f"{path}.high")
             return cls("uniform", tuple(low), tuple(high))
         if kind == "normal":
             mean = _vector(data.get("mean"), dim, f"{path}.mean")
@@ -606,6 +610,31 @@ def _check_state(name: str, state: np.ndarray, step: int) -> None:
         raise DivergenceError(name, step, peak)
 
 
+def _noise_block(rng: np.random.Generator, plant: PlantModel, n: int) -> np.ndarray:
+    """The noise of an n-step run as an (n, 1 + n_x) block; row k is (v_k, w_k).
+
+    Values and stream order equal a per-step draw of the measurement noise,
+    then the process noise. Sources of one kind (a `none` source draws
+    nothing) take one call with their parameters concatenated; uniform mixed
+    with normal noise is drawn row by row.
+    """
+    block = np.zeros((n, 1 + plant.A.shape[0]))
+    sources = [(spec, cols) for spec, cols in ((plant.measurement_noise, slice(0, 1)),
+                                               (plant.process_noise, slice(1, None)))
+               if spec.kind != "none"]
+    draw = {"uniform": rng.uniform, "normal": rng.normal}
+    if len({spec.kind for spec, _ in sources}) == 1:
+        a = sum((spec.params[0] for spec, _ in sources), ())
+        b = sum((spec.params[1] for spec, _ in sources), ())
+        cols = slice(sources[0][1].start, sources[-1][1].stop)
+        block[:, cols] = draw[sources[0][0].kind](a, b, (n, len(a)))
+    elif sources:
+        for row in block:
+            for spec, cols in sources:
+                row[cols] = draw[spec.kind](*spec.params)
+    return block
+
+
 def calibrate_threshold(scenario: Scenario) -> float:
     """Constant detector threshold from attack-free runs.
 
@@ -638,14 +667,17 @@ def resolve_threshold(scenario: Scenario) -> float:
     return calibrate_threshold(scenario.without_attack())
 
 
+# a state that overflows is reported by the divergence guard, not by numpy
+@np.errstate(over="ignore")
 def run_scenario(scenario: Scenario, *, horizon: int | None = None,
                  seed: int | None = None, threshold: float | None = None) -> SimTrace:
     """Execute one closed-loop run and return its trace.
 
     `threshold` overrides the detector threshold (calibration runs with
     inf); without it `resolve_threshold` supplies one, calibrating here if
-    the spec asks for it. Per step the random generator draws measurement
-    noise first, process noise second.
+    the spec asks for it. The run's noise is drawn before the first step:
+    row k of the block is (v_k, w_k), in the stream order of a per-step
+    draw (measurement noise first, process noise second).
     """
     horizon = scenario.horizon if horizon is None else int(horizon)
     seed = scenario.seed if seed is None else seed
@@ -653,7 +685,6 @@ def run_scenario(scenario: Scenario, *, horizon: int | None = None,
 
     plant, ctrl, det = scenario.plant, scenario.controller, scenario.detector
     wm, attack = scenario.watermark, scenario.attack
-    rng = np.random.default_rng(seed)
 
     x_p = plant.x0.copy()
     x_c = ctrl.x0.copy()
@@ -666,7 +697,6 @@ def run_scenario(scenario: Scenario, *, horizon: int | None = None,
     b_c_col = ctrl.B[:, 0]
     d_c_col = ctrl.D[:, 0]
     k_r_col = det.K[:, 0]
-    n_x = plant.A.shape[0]
 
     # without watermark the protocols have no trigger, so no switch is ever pending
     trigger = None if wm is None else wm.make_trigger()
@@ -687,6 +717,8 @@ def run_scenario(scenario: Scenario, *, horizon: int | None = None,
     pend_w = pend_q = False
     pend_w_input = pend_q_input = 0.0
     replay_deferred_logged = False
+    noise = _noise_block(np.random.default_rng(seed), plant, n)
+    v_col, w_blk = noise[:, 0].tolist(), noise[:, 1:]
 
     for k in range(n):
         # 1. apply pending switches (between samples)
@@ -701,8 +733,7 @@ def run_scenario(scenario: Scenario, *, horizon: int | None = None,
             tap_record.append((k, generator.taps, remover.taps))
 
         # 2. plant output
-        v = plant.measurement_noise.sample(rng, 1)
-        y_p = float(np.dot(c_p_row, x_p)) + float(v[0])
+        y_p = float(c_p_row.dot(x_p)) + v_col[k]
 
         # 3. watermark, channel, attack, remover
         y_w = y_p if wm is None else generator.step(y_p)
@@ -717,18 +748,20 @@ def run_scenario(scenario: Scenario, *, horizon: int | None = None,
         y_q = y_wt if wm is None else remover.step(y_wt)
 
         # 4. detector residual and alarm test
-        y_r = float(np.dot(c_r_row, x_r)) + l_r * y_q
+        y_r = float(c_r_row.dot(x_r)) + l_r * y_q
         alarm = abs(y_r) > thr
 
         # 5. controller output and state updates
         u = ctrl.C @ x_c + d_c_col * y_q
-        w = plant.process_noise.sample(rng, n_x)
-        x_p = plant.A @ x_p + plant.B @ u + w
+        x_p = plant.A @ x_p + plant.B @ u + w_blk[k]
         x_c = ctrl.A @ x_c + b_c_col * y_q
         x_r = det.A @ x_r + det.B @ u + k_r_col * y_q
-        _check_state("plant", x_p, k)
-        _check_state("controller", x_c, k)
-        _check_state("detector", x_r, k)
+        # exact pre-test: the sum of squares stays within the squared bound
+        # only if every entry is finite and within STATE_OVERFLOW
+        if not x_p.dot(x_p) + x_c.dot(x_c) + x_r.dot(x_r) <= STATE_OVERFLOW_SQ:
+            _check_state("plant", x_p, k)
+            _check_state("controller", x_c, k)
+            _check_state("detector", x_r, k)
 
         # 6. triggers for the next step, keyed on this sample's signals
         if proto_w.check(k, y_p):

@@ -272,6 +272,37 @@ def test_negative_seed_rejected_at_parsing(tmp_path, capsys, demo_config_file, c
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n", "0"],
+    ["sweep", "--halfwidth", "0"],
+    ["sweep", "--halfwidth", "1e308"],
+    ["voronoi", "--grid", "0"],
+])
+def test_sweep_and_grid_sizes_checked_at_parsing(tmp_path, capsys, demo_config_file, argv):
+    command, option, _ = argv
+    if command == "sweep":
+        argv = argv + ["--config", str(demo_config_file)]
+    else:
+        argv = argv + ["--s", "17", "--a", "2", "--b", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("noise", ["measurement_noise", "process_noise"])
+def test_sim_overflowing_noise_range_reports_field(tmp_path, capsys, noise):
+    # each bound is finite, but high - low overflows to inf
+    path = _write_short_scenario(tmp_path)
+    d = json.loads(path.read_text())
+    spec = d["plant"][noise]
+    spec["low"][0], spec["high"][0] = -1e308, 1e308
+    path.write_text(json.dumps(d))
+    assert main(["sim", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"plant.{noise}.high" in capsys.readouterr().err
+
+
 def _short_scenario(name):
     d = json.loads(shipped.data_text(f"scenario_{name}.json"))
     d["horizon"] = 50

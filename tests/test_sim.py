@@ -1,4 +1,6 @@
 import copy
+import functools
+import hashlib
 import json
 import logging
 import math
@@ -14,6 +16,7 @@ from ecwatermark import (
     ControllerModel,
     DetectorModel,
     DivergenceError,
+    NoiseSpec,
     PlantModel,
     Scenario,
     ThresholdSpec,
@@ -23,6 +26,7 @@ from ecwatermark import (
     run_scenario,
     shipped,
 )
+from ecwatermark.sim import _noise_block, resolve_threshold
 from conftest import JSON_LIKE, leaf_paths, small_scenario_dict
 
 
@@ -376,6 +380,149 @@ def test_divergence_names_offending_block():
     with pytest.raises(DivergenceError) as err:
         run_scenario(sc)
     assert err.value.block == "plant"
+
+
+def _held_scenario(plant_A, plant_x0, ctrl_x0=0.0, det_x0=0.0):
+    """Noiseless loop with zero inputs and outputs: the controller and
+    detector states hold their start values, the plant state evolves by A."""
+    n = len(plant_x0)
+    plant = PlantModel(A=np.array(plant_A, dtype=float), B=np.zeros((n, 1)),
+                       C=np.zeros((1, n)), x0=np.array(plant_x0, dtype=float))
+    ctrl = ControllerModel(A=np.eye(1), B=np.zeros((1, 1)), C=np.zeros((1, 1)),
+                           D=np.zeros((1, 1)), x0=np.array([ctrl_x0]))
+    det = DetectorModel(A=np.eye(1), B=np.zeros((1, 1)), K=np.zeros((1, 1)),
+                        C=np.zeros((1, 1)), L=np.ones((1, 1)), x0=np.array([det_x0]),
+                        threshold=ThresholdSpec(mode="fixed", value=1.0))
+    return Scenario(plant=plant, controller=ctrl, detector=det, watermark=None,
+                    horizon=6, seed=0)
+
+
+@pytest.mark.parametrize("plant_A,plant_x0", [
+    (np.eye(2), [0.9e12, 0.9e12]),  # sum of squares above 1e24, no entry above 1e12
+    ([[1.0]], [1e12]),  # at the bound, which is allowed
+    ([[1.0]], [-1e12]),
+])
+def test_divergence_pretest_passes_bounded_states(plant_A, plant_x0):
+    trace = run_scenario(_held_scenario(plant_A, plant_x0))
+    assert len(trace) == 6
+
+
+@pytest.mark.parametrize("scenario,block,step,peak", [
+    (_held_scenario([[1.0]], [1.0000001e12]), "plant", 0, 1.0000001e12),
+    (_held_scenario([[1.0]], [-1.0000001e12]), "plant", 0, 1.0000001e12),
+    (_held_scenario([[2.0]], [1e11]), "plant", 3, 1.6e12),
+    (_held_scenario([[1e10]], [1e300]), "plant", 0, math.inf),
+    (_held_scenario([[1.0]], [math.nan]), "plant", 0, math.nan),
+    (_held_scenario(np.eye(2), [0.9e12, 0.9e12], ctrl_x0=1.0000001e12), "controller", 0,
+     1.0000001e12),
+    (_held_scenario(np.eye(2), [0.9e12, 0.9e12], det_x0=-2e12), "detector", 0, 2e12),
+    (_held_scenario([[1.0]], [0.0], ctrl_x0=2e12), "controller", 0, 2e12),
+    (_held_scenario([[1.0]], [0.0], det_x0=-2e12), "detector", 0, 2e12),
+    (_held_scenario(np.eye(2), [0.9e12, 0.9e12], ctrl_x0=2e12, det_x0=3e12),
+     "controller", 0, 2e12),
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_pretest_falls_through_to_block_checks(scenario, block, step, peak):
+    # the first offending block in plant, controller, detector order is named
+    with pytest.raises(DivergenceError) as err:
+        run_scenario(scenario)
+    assert (err.value.block, err.value.step) == (block, step)
+    assert err.value.magnitude == peak or (math.isnan(peak) and math.isnan(err.value.magnitude))
+
+
+# -- noise block ----------------------------------------------------------------------
+
+def _per_step_noise(rng, spec, dim):
+    """One step's draw of one source: the reference the noise block reproduces."""
+    if spec.kind == "uniform":
+        return rng.uniform(spec.low, spec.high)
+    if spec.kind == "normal":
+        return rng.normal(spec.mean, spec.std)
+    return np.zeros(dim)
+
+
+_NOISE_SECTIONS = {
+    1: {"none": None,
+        "uniform": {"kind": "uniform", "low": [-0.05], "high": [0.05]},
+        "normal": {"kind": "normal", "mean": [0.1], "std": [0.3]}},
+    2: {"none": None,
+        "uniform": {"kind": "uniform", "low": [-0.02, 1.0], "high": [0.02, 1.0]},
+        "normal": {"kind": "normal", "mean": [0.0, -2.0], "std": [0.01, 0.0]}},
+}
+
+
+@pytest.mark.parametrize("seed", [5, 2025326722])
+@pytest.mark.parametrize("process", ["none", "uniform", "normal"])
+@pytest.mark.parametrize("measurement", ["none", "uniform", "normal"])
+def test_noise_block_matches_per_step_draw(measurement, process, seed):
+    v_spec = NoiseSpec.from_dict(_NOISE_SECTIONS[1][measurement], 1, "v")
+    w_spec = NoiseSpec.from_dict(_NOISE_SECTIONS[2][process], 2, "w")
+    plant = PlantModel(A=np.eye(2), B=np.zeros((2, 1)), C=np.zeros((1, 2)),
+                       x0=np.zeros(2), process_noise=w_spec, measurement_noise=v_spec)
+    n = 2000
+    rng_block, rng_step = np.random.default_rng(seed), np.random.default_rng(seed)
+    block = _noise_block(rng_block, plant, n)
+    rows = [np.concatenate([_per_step_noise(rng_step, v_spec, 1),
+                            _per_step_noise(rng_step, w_spec, 2)]) for _ in range(n)]
+    assert block.shape == (n, 3) and block.dtype == np.float64
+    assert np.array_equal(block, np.array(rows))
+    # both generators consumed the same stream, not just equal values
+    assert rng_block.bit_generator.state == rng_step.bit_generator.state
+
+
+# -- golden outputs ---------------------------------------------------------------------
+
+# SHA-256 over the raw bytes of y_p, y_q, u, y_r, alarm and switch (in that
+# order), and SHA-256 of the sort_keys JSON of summary(), per shipped scenario
+# and run seed, with the scenario's resolved (calibrated) threshold.
+_GOLDEN = {
+    ("nominal", 7): ("ba3911711b858fa8993aefd3ccff0d92ea1e3055945f999f03a2507389c54816",
+                     "7d5cb2b1ee1d1d34795b2e768d0349a0d6e12eda7782e90c877d700cc287dc6e"),
+    ("nominal", 104): ("f2bc8a8e1ce107749f1b38ef7b810082b5f200373690dfdd81d3f2d0deccdede",
+                       "69e53474bef6f4f65f051299d6800eb3219e0ed731135b758485619d98605894"),
+    ("nominal", 2025326722): (
+        "91f56e7be42704b7fe632ed2fdeb91eac6afb87c17d6339b20aadd5db2b7cc86",
+        "7073178218c8b3393515adf1fb596d7543730f1488941bf33456597931b2c193"),
+    ("replay", 7): ("793b9b0df55c9158e6cfada21f6ae52b8f62ea0b248d5926e9008b41701a9c9e",
+                    "d31ed1426efb8626939ff9aa9f8e99f63176f02048db8cf39b9806205ce2b762"),
+    ("replay", 104): ("23eb7213fb48344b9957a1aaa9a59cf0645ebd75ee7a52b9ddfc2e054c7e3c0f",
+                      "947f03bdfe1a2e1dab905fd95b1f41d01b23a0c7bdf8d2a071fcbcbc0db09a29"),
+    ("replay", 2025326722): (
+        "6201e2c0c0a1939caeff34d9a0c961fd4ba0b9742cdf68e3c6d430167fc98212",
+        "6bee447ccc90c329ca32d4325fdea41c51cb4e02443566da5a9ed0c9a96424d5"),
+    ("replay_static", 7): (
+        "7789c9424d009d563a02803d4aebd76435d3465c787950bb051926f21197777c",
+        "8eac685d5c2be59ed7b5b34adb9628ece478419c331491546a757326e9d44f43"),
+    ("replay_static", 104): (
+        "4c86d71200c4a0f464ce1f8e68b92c7be2ba5124980d9bab1b96c4f473ed7af3",
+        "e5f252673e5bd49ce033da6e79b7dd5020068cf52f811674d31b6d94623eeab5"),
+    ("replay_static", 2025326722): (
+        "c3c57f80d12e08482ed41a86721a46eac8474a066f09112cdff0ec68c6bf634b",
+        "36ffeab8c6d7ed4abb6491df73908a761749e71be2bee878f87df024f95a6091"),
+}
+
+
+@functools.cache
+def _shipped_with_threshold(name):
+    scenario = shipped.load_scenario(name)
+    return scenario, resolve_threshold(scenario)
+
+
+@pytest.mark.parametrize("name,seed", list(_GOLDEN))
+def test_golden_outputs(name, seed):
+    """Runs of the shipped scenarios reproduce recorded digests bit for bit.
+
+    The digests pin numpy's PCG64 `Generator` stream (`default_rng`) and its
+    `uniform` transform as well as the simulator's float operations, so a
+    numpy release that changes either also changes them.
+    """
+    scenario, thr = _shipped_with_threshold(name)
+    trace = run_scenario(scenario, seed=seed, threshold=thr)
+    columns = hashlib.sha256()
+    for column in ("y_p", "y_q", "u", "y_r", "alarm", "switch"):
+        columns.update(getattr(trace, column).tobytes())
+    summary = json.dumps(trace.summary(), sort_keys=True).encode()
+    assert (columns.hexdigest(), hashlib.sha256(summary).hexdigest()) == _GOLDEN[name, seed]
 
 
 # -- trace output -----------------------------------------------------------------------
