@@ -41,12 +41,27 @@ def seed(text: str) -> int:
     return value
 
 
-def positive_int(text: str) -> int:
-    """A count or grid resolution: zero would leave nothing to compute."""
+# Upper caps on the sizes whose work grows without bound: a sweep projects
+# --n samples per reference, a partition export --grid squared cells.
+MAX_SWEEP_SAMPLES = 10**6
+MAX_GRID = 1000
+
+
+def positive_int(text: str, cap: int) -> int:
+    """A count or grid resolution in [1, cap]: zero would leave nothing to
+    compute, and the work grows with the value."""
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    if not 1 <= value <= cap:
+        raise argparse.ArgumentTypeError(f"must be an integer from 1 to {cap}, got {value}")
     return value
+
+
+def sample_count(text: str) -> int:
+    return positive_int(text, MAX_SWEEP_SAMPLES)
+
+
+def grid_size(text: str) -> int:
+    return positive_int(text, MAX_GRID)
 
 
 def halfwidth(text: str) -> float:
@@ -217,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--refs", default="0,1,10,100", help="comma-separated references")
-    p.add_argument("--n", type=positive_int, default=500, help="realizations per reference")
+    p.add_argument("--n", type=sample_count, default=500, help="realizations per reference")
     p.add_argument("--halfwidth", type=halfwidth, default=0.05, help="noise halfwidth")
     p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--svg", action="store_true", help="also render SVG figures")
@@ -227,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--grid", type=positive_int, default=170, help="grid resolution per axis")
+    p.add_argument("--grid", type=grid_size, default=170, help="grid resolution per axis")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--svg", action="store_true")
     p.set_defaults(func=cmd_voronoi)

@@ -189,22 +189,28 @@ class Curve:
         """Group order divided by the order of p (an integer by Lagrange)."""
         return self.order() // self.point_order(p)
 
-    def nearest_affine(self, x: float, y: float) -> Point:
-        """Affine point minimizing squared Euclidean distance to (x, y).
+    def nearest_index(self, x: float, y: float) -> int:
+        """Index into affine_points() of the point nearest to (x, y).
 
-        Distances are float64, computed as dx*dx + dy*dy for every point at
-        once. Ties resolve to the lexicographically smallest point: the point
-        list is sorted and argmin returns the first minimum. This is the
-        single projection routine shared by the switching map and the
-        partition export, so the two can never disagree. Raises InputError
-        when no distance is finite: a NaN or infinite coordinate, or one so
-        large that every squared distance overflows.
+        Distances are float64 squared Euclidean distances, computed as
+        dx*dx + dy*dy for every point at once. Ties resolve to the
+        lexicographically smallest point: the point list is sorted and
+        argmin returns the first minimum. This is the single projection
+        routine shared by the switching map and the partition export, so the
+        two can never disagree. Raises InputError when no distance is
+        finite: a NaN or infinite coordinate, or one so large that every
+        squared distance overflows.
         """
-        pts = self.affine_points()
+        self.affine_points()
         dx = self._xs - x
         dy = self._ys - y
         d = dx * dx + dy * dy
         i = int(d.argmin())
         if not math.isfinite(d[i]):
             raise InputError(f"cannot project ({x!r}, {y!r}) onto {self!r}")
-        return pts[i]
+        return i
+
+    def nearest_affine(self, x: float, y: float) -> Point:
+        """Affine point minimizing squared Euclidean distance to (x, y); see
+        nearest_index for the float operations, tie rule and errors."""
+        return self.affine_points()[self.nearest_index(x, y)]

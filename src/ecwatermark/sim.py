@@ -12,7 +12,7 @@ controller. Within one sample the order is fixed and documented:
    remover demodulates;
 4. detector residual and alarm test against the (constant) threshold;
 5. controller output, then all state updates with process noise. The
-   run's noise is drawn before the first step as one block whose row k is
+   run's noise is drawn in blocks of NOISE_CHUNK_ROWS steps whose row k is
    (v_k, w_k), in the stream order of a per-step draw: measurement noise
    first, then process noise;
 6. triggers are evaluated on this sample's signals for the next step.
@@ -43,6 +43,11 @@ STATE_OVERFLOW_SQ = STATE_OVERFLOW**2
 # trace columns and a minute or two of stepping. Longer horizons are refused
 # at load, since from some length on numpy cannot even allocate the columns.
 MAX_HORIZON = 1_000_000
+
+# Steps of noise drawn at once: one numpy call per block keeps the draw
+# cheap, and a fixed block size keeps its memory independent of the horizon
+# (1.6 MB for a 200-state plant).
+NOISE_CHUNK_ROWS = 1024
 
 __all__ = [
     "NoiseSpec",
@@ -610,29 +615,41 @@ def _check_state(name: str, state: np.ndarray, step: int) -> None:
         raise DivergenceError(name, step, peak)
 
 
-def _noise_block(rng: np.random.Generator, plant: PlantModel, n: int) -> np.ndarray:
-    """The noise of an n-step run as an (n, 1 + n_x) block; row k is (v_k, w_k).
+def _noise_chunks(rng: np.random.Generator, plant: PlantModel, n: int):
+    """The noise of an n-step run as consecutive (rows, 1 + n_x) blocks of
+    NOISE_CHUNK_ROWS rows (the last may be shorter); row k is (v_k, w_k).
 
     Values and stream order equal a per-step draw of the measurement noise,
-    then the process noise. Sources of one kind (a `none` source draws
-    nothing) take one call with their parameters concatenated; uniform mixed
-    with normal noise is drawn row by row.
+    then the process noise: numpy fills a draw in C order, so consecutive
+    blocks continue one stream. Sources of one kind (a `none` source draws
+    nothing) take one call per block with their parameters concatenated;
+    uniform mixed with normal noise is drawn row by row.
     """
-    block = np.zeros((n, 1 + plant.A.shape[0]))
+    width = 1 + plant.A.shape[0]
     sources = [(spec, cols) for spec, cols in ((plant.measurement_noise, slice(0, 1)),
                                                (plant.process_noise, slice(1, None)))
                if spec.kind != "none"]
     draw = {"uniform": rng.uniform, "normal": rng.normal}
-    if len({spec.kind for spec, _ in sources}) == 1:
+    one_kind = len({spec.kind for spec, _ in sources}) == 1
+    if one_kind:
+        kind = sources[0][0].kind
         a = sum((spec.params[0] for spec, _ in sources), ())
         b = sum((spec.params[1] for spec, _ in sources), ())
         cols = slice(sources[0][1].start, sources[-1][1].stop)
-        block[:, cols] = draw[sources[0][0].kind](a, b, (n, len(a)))
-    elif sources:
-        for row in block:
-            for spec, cols in sources:
-                row[cols] = draw[spec.kind](*spec.params)
-    return block
+    for start in range(0, n, NOISE_CHUNK_ROWS):
+        rows = min(NOISE_CHUNK_ROWS, n - start)
+        if one_kind and len(sources) == 2:
+            # both sources: the draw is the whole block
+            yield draw[kind](a, b, (rows, width))
+            continue
+        block = np.zeros((rows, width))
+        if one_kind:
+            block[:, cols] = draw[kind](a, b, (rows, len(a)))
+        elif sources:
+            for row in block:
+                for spec, cols in sources:
+                    row[cols] = draw[spec.kind](*spec.params)
+        yield block
 
 
 def calibrate_threshold(scenario: Scenario) -> float:
@@ -675,9 +692,9 @@ def run_scenario(scenario: Scenario, *, horizon: int | None = None,
 
     `threshold` overrides the detector threshold (calibration runs with
     inf); without it `resolve_threshold` supplies one, calibrating here if
-    the spec asks for it. The run's noise is drawn before the first step:
-    row k of the block is (v_k, w_k), in the stream order of a per-step
-    draw (measurement noise first, process noise second).
+    the spec asks for it. The run's noise is drawn NOISE_CHUNK_ROWS steps
+    at a time: row k is (v_k, w_k), in the stream order of a per-step draw
+    (measurement noise first, process noise second).
     """
     horizon = scenario.horizon if horizon is None else int(horizon)
     seed = scenario.seed if seed is None else seed
@@ -717,10 +734,14 @@ def run_scenario(scenario: Scenario, *, horizon: int | None = None,
     pend_w = pend_q = False
     pend_w_input = pend_q_input = 0.0
     replay_deferred_logged = False
-    noise = _noise_block(np.random.default_rng(seed), plant, n)
-    v_col, w_blk = noise[:, 0].tolist(), noise[:, 1:]
+    noise = _noise_chunks(np.random.default_rng(seed), plant, n)
 
     for k in range(n):
+        j = k % NOISE_CHUNK_ROWS
+        if j == 0:
+            block = next(noise)
+            v_col, w_blk = block[:, 0].tolist(), block[:, 1:]
+
         # 1. apply pending switches (between samples)
         if pend_w or pend_q:
             if pend_w:
@@ -733,7 +754,7 @@ def run_scenario(scenario: Scenario, *, horizon: int | None = None,
             tap_record.append((k, generator.taps, remover.taps))
 
         # 2. plant output
-        y_p = float(c_p_row.dot(x_p)) + v_col[k]
+        y_p = float(c_p_row.dot(x_p)) + v_col[j]
 
         # 3. watermark, channel, attack, remover
         y_w = y_p if wm is None else generator.step(y_p)
@@ -753,7 +774,7 @@ def run_scenario(scenario: Scenario, *, horizon: int | None = None,
 
         # 5. controller output and state updates
         u = ctrl.C @ x_c + d_c_col * y_q
-        x_p = plant.A @ x_p + plant.B @ u + w_blk[k]
+        x_p = plant.A @ x_p + plant.B @ u + w_blk[j]
         x_c = ctrl.A @ x_c + b_c_col * y_q
         x_r = det.A @ x_r + det.B @ u + k_r_col * y_q
         # exact pre-test: the sum of squares stays within the squared bound

@@ -10,6 +10,12 @@ One evaluation takes the last shared output sample through three stages:
    clamp the outcome into the admissible tap set (nonzero leading tap,
    contractive tail), which keeps the inverse filter provably stable.
 
+Everything after the projection in stage 2 depends only on the nearest
+point and the configuration, so `sigma` runs the scalar multiple and stage 3
+once per point per configuration and keeps the taps in the configuration's
+tap table; `sigma_detail` runs every stage on each call and reports the
+intermediates.
+
 Both endpoints evaluate this exact code path, in a fixed floating-point
 operation order, on identically configured values; equal inputs therefore
 produce bit-identical taps with no communication beyond the initial shared
@@ -22,6 +28,9 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .curve import Curve, Point
 from .errors import CapacityError, ConfigError, ConfigurationWarning, InputError
@@ -319,6 +328,14 @@ class SwitchingConfig:
                 stacklevel=2,
             )
 
+    @cached_property
+    def tap_table(self) -> np.ndarray:
+        """Taps of each affine point, by its index in `curve.affine_points()`:
+        a (number of affine points, n_h + 1) float64 array, filled by `sigma`
+        row by row on first use. A NaN row has not been derived yet. Not a
+        field, so it takes no part in ==, hash or serialization."""
+        return np.full((len(self.curve.affine_points()), self.n_h + 1), np.nan)
+
     # -- serialization -----------------------------------------------------
 
     @classmethod
@@ -398,24 +415,47 @@ class SwitchOutcome:
     theta: FirParams
 
 
-def sigma_detail(y_prev: float, cfg: SwitchingConfig) -> SwitchOutcome:
-    """Full switching evaluation on the previous shared output sample.
-
-    When the scalar multiple lands on the identity, the generator point
-    itself is substituted; the rule is fixed in configuration and never
-    depends on runtime data, so both endpoints agree without communication.
-    """
-    scaled = alpha1(y_prev, cfg.alpha_x, cfg.alpha_y, cfg.curve.s)
-    p = alpha2(scaled, cfg.curve)
+def _derive(p: Point, cfg: SwitchingConfig) -> tuple[Point, bool, tuple[float, ...], FirParams]:
+    """The stages after the projection: the secret multiple S of p (p itself
+    when the multiple is the identity), then the feature map and the clamp.
+    Returns (S, fallback_used, raw taps, taps)."""
     s_pt = cfg.curve.scalar_mul(cfg.l, p)
     fallback = s_pt.is_infinity
     if fallback:
         s_pt = p
     raw = eta1(s_pt, cfg.eta1_rows)
     theta = eta2(raw, floor=cfg.eta_floor, slope=cfg.eta_slope, margin=cfg.eta_margin)
-    return SwitchOutcome(scaled, p, s_pt, fallback, raw, theta)
+    return s_pt, fallback, raw, theta
+
+
+def sigma_detail(y_prev: float, cfg: SwitchingConfig) -> SwitchOutcome:
+    """Full switching evaluation on the previous shared output sample.
+
+    When the scalar multiple lands on the identity, the generator point
+    itself is substituted; the rule is fixed in configuration and never
+    depends on runtime data, so both endpoints agree without communication.
+    Every stage runs on each call; this is the reference `sigma` must equal.
+    """
+    scaled = alpha1(y_prev, cfg.alpha_x, cfg.alpha_y, cfg.curve.s)
+    p = alpha2(scaled, cfg.curve)
+    return SwitchOutcome(scaled, p, *_derive(p, cfg))
+
+
+def _table_row(cfg: SwitchingConfig, i: int) -> np.ndarray:
+    """Row i of `cfg.tap_table`, derived first if it is still NaN. A
+    derivation that raises stores nothing, so the next call raises again."""
+    row = cfg.tap_table[i]
+    if math.isnan(row[0]):
+        row[:] = _derive(cfg.curve.affine_points()[i], cfg)[3].taps
+    return row
 
 
 def sigma(y_prev: float, cfg: SwitchingConfig) -> FirParams:
-    """New tap vector from the previous shared output sample."""
-    return sigma_detail(y_prev, cfg).theta
+    """New tap vector from the previous shared output sample.
+
+    Equal to `sigma_detail(y_prev, cfg).theta`, but the stages after the
+    projection run once per nearest point and configuration: their taps are
+    kept in `cfg.tap_table`.
+    """
+    x, y = alpha1(y_prev, cfg.alpha_x, cfg.alpha_y, cfg.curve.s)
+    return FirParams(tuple(_table_row(cfg, cfg.curve.nearest_index(x, y)).tolist()))

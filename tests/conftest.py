@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from ecwatermark import Curve, shipped
+from ecwatermark import Curve, SwitchingConfig, shipped
 
 settings.register_profile(
     "suite", deadline=None, max_examples=60,
@@ -21,6 +21,28 @@ def desk_curve():
 @pytest.fixture(scope="session")
 def demo_cfg():
     return shipped.load_demo_config()
+
+
+def random_switching_config(rng) -> SwitchingConfig:
+    """One config of the endpoint-agreement mix: a random nonsingular curve
+    over a small prime, scalar, scaling maps, feature rows and clamp."""
+    s = int(rng.choice([17, 19, 23, 31, 43]))
+    while True:
+        a, b = int(rng.integers(0, s)), int(rng.integers(0, s))
+        if (4 * a**3 + 27 * b**2) % s != 0:
+            break
+    n_h = int(rng.integers(1, 4))
+    return SwitchingConfig(
+        curve=Curve(a, b, s),
+        l=int(rng.integers(1, 100)),
+        alpha_x=tuple(rng.uniform(-4, 4, 4)),
+        alpha_y=tuple(rng.uniform(-4, 4, 4)),
+        eta1_rows=tuple(tuple(rng.uniform(-2, 2, 3)) for _ in range(n_h + 1)),
+        n_h=n_h,
+        eta_floor=float(rng.uniform(1.0, 2.0)),
+        eta_margin=float(rng.uniform(0.01, 0.5)),
+        eta_slope=float(rng.uniform(0.5, 4.0)),
+    )
 
 
 def small_scenario_dict(**overrides):

@@ -22,6 +22,7 @@ from ecwatermark import (
 )
 from ecwatermark.analysis import SweepSpec, sensitivity_sweep
 from ecwatermark.sim import calibrate_threshold, run_scenario
+from conftest import random_switching_config
 
 
 def _report(n: int, description: str, ok: bool, detail: str = ""):
@@ -170,31 +171,13 @@ def test_criterion_6_sweep_shape():
 
 def test_criterion_7_endpoint_agreement():
     rng = np.random.default_rng(7_000_000)
-    primes = [17, 19, 23, 31, 43]
     n_configs, n_each = 50, 2000
     checked = 0
     ok = True
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConfigurationWarning)
         for _ in range(n_configs):
-            s = int(rng.choice(primes))
-            while True:
-                a, b = int(rng.integers(0, s)), int(rng.integers(0, s))
-                if (4 * a**3 + 27 * b**2) % s != 0:
-                    break
-            n_h = int(rng.integers(1, 4))
-            cfg = SwitchingConfig(
-                curve=Curve(a, b, s),
-                l=int(rng.integers(1, 100)),
-                alpha_x=tuple(rng.uniform(-4, 4, 4)),
-                alpha_y=tuple(rng.uniform(-4, 4, 4)),
-                eta1_rows=tuple(tuple(rng.uniform(-2, 2, 3)) for _ in range(n_h + 1)),
-                n_h=n_h,
-                eta_floor=float(rng.uniform(1.0, 2.0)),
-                eta_margin=float(rng.uniform(0.01, 0.5)),
-                eta_slope=float(rng.uniform(0.5, 4.0)),
-            )
-            text = cfg.to_json()
+            text = random_switching_config(rng).to_json()
             side_a = SwitchingConfig.from_json(text)
             side_b = SwitchingConfig.from_json(text)
             ys = np.concatenate([

@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ecwatermark import shipped
-from ecwatermark.cli import main
+from ecwatermark.cli import build_parser, main
 from ecwatermark.sim import MAX_HORIZON
 
 from conftest import JSON_LIKE, leaf_paths
@@ -277,6 +277,8 @@ def test_negative_seed_rejected_at_parsing(tmp_path, capsys, demo_config_file, c
     ["sweep", "--halfwidth", "0"],
     ["sweep", "--halfwidth", "1e308"],
     ["voronoi", "--grid", "0"],
+    ["sweep", "--n", "1000001"],
+    ["voronoi", "--grid", "1001"],
 ])
 def test_sweep_and_grid_sizes_checked_at_parsing(tmp_path, capsys, demo_config_file, argv):
     command, option, _ = argv
@@ -289,6 +291,16 @@ def test_sweep_and_grid_sizes_checked_at_parsing(tmp_path, capsys, demo_config_f
     assert exc.value.code == 2
     assert option in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, dest", [
+    (["sweep", "--config", "c.json", "--n", "1000000"], "n"),
+    (["voronoi", "--s", "17", "--a", "2", "--b", "2", "--grid", "1000"], "grid"),
+])
+def test_sweep_and_grid_sizes_accepted_at_the_cap(argv, dest):
+    # parsed only: running at the cap takes seconds to minutes
+    args = build_parser().parse_args(argv + ["--out", "out"])
+    assert getattr(args, dest) == int(argv[-1])
 
 
 @pytest.mark.parametrize("noise", ["measurement_noise", "process_noise"])

@@ -290,6 +290,8 @@ def test_nearest_affine_scan_oracle_on_exact_ties(oracle_curves):
 def test_nearest_affine_rejects_unprojectable_query(desk_curve, x, y):
     with pytest.raises(InputError):
         desk_curve.nearest_affine(x, y)
+    with pytest.raises(InputError):
+        desk_curve.nearest_index(x, y)
 
 
 def test_nearest_affine_tie_breaks_lexicographically(desk_curve):

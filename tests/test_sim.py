@@ -26,7 +26,7 @@ from ecwatermark import (
     run_scenario,
     shipped,
 )
-from ecwatermark.sim import _noise_block, resolve_threshold
+from ecwatermark.sim import NOISE_CHUNK_ROWS, _noise_chunks, resolve_threshold
 from conftest import JSON_LIKE, leaf_paths, small_scenario_dict
 
 
@@ -459,9 +459,12 @@ def test_noise_block_matches_per_step_draw(measurement, process, seed):
     w_spec = NoiseSpec.from_dict(_NOISE_SECTIONS[2][process], 2, "w")
     plant = PlantModel(A=np.eye(2), B=np.zeros((2, 1)), C=np.zeros((1, 2)),
                        x0=np.zeros(2), process_noise=w_spec, measurement_noise=v_spec)
-    n = 2000
+    # two full blocks and a short third one
+    n = 2 * NOISE_CHUNK_ROWS + 300
     rng_block, rng_step = np.random.default_rng(seed), np.random.default_rng(seed)
-    block = _noise_block(rng_block, plant, n)
+    chunks = list(_noise_chunks(rng_block, plant, n))
+    assert [len(c) for c in chunks] == [NOISE_CHUNK_ROWS, NOISE_CHUNK_ROWS, 300]
+    block = np.concatenate(chunks)
     rows = [np.concatenate([_per_step_noise(rng_step, v_spec, 1),
                             _per_step_noise(rng_step, w_spec, 2)]) for _ in range(n)]
     assert block.shape == (n, 3) and block.dtype == np.float64

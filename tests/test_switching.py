@@ -1,7 +1,9 @@
 import json
 import math
+import random
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,6 +24,8 @@ from ecwatermark import (
     sigma_detail,
     validate_theta,
 )
+from ecwatermark.switching import _table_row
+from conftest import random_switching_config
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -264,6 +268,94 @@ def test_sigma_range_bounded_by_affine_points(demo_cfg):
 def test_sigma_totality(y):
     cfg = make_config()
     assert validate_theta(sigma(y, cfg)).ok
+
+
+# -- tap table -------------------------------------------------------------------------
+
+def staged_taps(point, cfg):
+    """The reference derivation of one point's taps, stage by stage."""
+    s_pt = cfg.curve.scalar_mul(cfg.l, point)
+    if s_pt.is_infinity:
+        s_pt = point
+    return eta2(eta1(s_pt, cfg.eta1_rows), floor=cfg.eta_floor,
+                slope=cfg.eta_slope, margin=cfg.eta_margin).taps
+
+
+@pytest.mark.parametrize("curve, l, sample", [
+    ((2, 2, 17), 7, None),
+    ((2, 3, 307), 7, None),
+    ((2, 3, 9973), 7919, 2000),
+], ids=["s17", "s307", "s9973"])
+def test_tap_table_rows_equal_staged_derivation(demo_cfg, curve, l, sample):
+    data = demo_cfg.to_dict()
+    data["curve"] = dict(zip("abs", curve))
+    data["l"] = l
+    cfg = SwitchingConfig.from_dict(data)
+    points = cfg.curve.affine_points()
+    indices = range(len(points))
+    if sample is not None:
+        indices = random.Random(l).sample(indices, sample)
+    assert cfg.tap_table.shape == (len(points), cfg.n_h + 1)
+    for i in indices:
+        expected = staged_taps(points[i], cfg)
+        assert tuple(_table_row(cfg, i).tolist()) == expected
+        assert tuple(cfg.tap_table[i].tolist()) == expected
+
+
+def test_sigma_equals_staged_sigma_on_miss_and_hit():
+    rng = np.random.default_rng(7_000_001)
+    misses = hits = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConfigurationWarning)
+        for _ in range(12):
+            cfg = random_switching_config(rng)
+            ys = np.concatenate([rng.uniform(-100, 100, 100), rng.uniform(-1e4, 1e4, 100)])
+            for y in ys.tolist():
+                expected = sigma_detail(y, cfg).theta.taps
+                x_s, y_s = alpha1(y, cfg.alpha_x, cfg.alpha_y, cfg.curve.s)
+                miss = math.isnan(cfg.tap_table[cfg.curve.nearest_index(x_s, y_s), 0])
+                misses, hits = misses + miss, hits + (not miss)
+                assert sigma(y, cfg).taps == expected
+                assert sigma(y, cfg).taps == expected
+    assert misses > 100 and hits > 100
+
+
+def test_configs_from_one_text_hold_separate_tables():
+    text = make_config().to_json()
+    cfg_a = SwitchingConfig.from_json(text)
+    cfg_b = SwitchingConfig.from_json(text)
+    sigma(1.0, cfg_a)
+    assert cfg_a.tap_table is not cfg_b.tap_table
+    assert not np.isnan(cfg_a.tap_table).all()
+    assert np.isnan(cfg_b.tap_table).all()
+    # the table is no field: equality, hash and serialization ignore it
+    assert cfg_a == cfg_b and hash(cfg_a) == hash(cfg_b)
+    assert cfg_a.to_json() == text
+
+
+def test_failed_derivation_is_not_cached():
+    # 1.2e307 * ||S|| overflows for ||S|| > 15; y = 5 maps to S = (16, 13)
+    cfg = make_config(eta1_rows=((0.0, 1.2e307, 0.0), (0.0, 0.0, 0.05), (1.0, -0.15, 0.012)))
+    y = 5.0
+    x_s, y_s = alpha1(y, cfg.alpha_x, cfg.alpha_y, cfg.curve.s)
+    i = cfg.curve.nearest_index(x_s, y_s)
+    for _ in range(3):
+        with pytest.raises(InputError):
+            sigma(y, cfg)
+        assert np.isnan(cfg.tap_table[i]).all()
+    with pytest.raises(InputError):
+        sigma_detail(y, cfg)
+    # y = 1 maps to S = (6, 3), which derives and is stored as usual
+    assert sigma(1.0, cfg) == sigma_detail(1.0, cfg).theta
+    assert np.isnan(cfg.tap_table).sum() == (len(cfg.tap_table) - 1) * (cfg.n_h + 1)
+
+
+@pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+def test_sigma_rejects_non_finite_sample_before_the_table(y):
+    cfg = make_config()
+    with pytest.raises(InputError):
+        sigma(y, cfg)
+    assert np.isnan(cfg.tap_table).all()
 
 
 # -- configuration -----------------------------------------------------------------
