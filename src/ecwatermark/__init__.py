@@ -30,6 +30,7 @@ from .sim import (
     apply_attack,
     calibrate_threshold,
     resolve_threshold,
+    run_batch,
     run_scenario,
 )
 from .switching import (

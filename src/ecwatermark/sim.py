@@ -17,8 +17,18 @@ controller. Within one sample the order is fixed and documented:
    first, then process noise;
 6. triggers are evaluated on this sample's signals for the next step.
 
-One run is strictly sequential; runs with different seeds share no state
-and may execute in parallel. Identical seeds give bit-identical traces.
+Runs step in lockstep: `run_batch` advances R runs, one per seed, together
+on states stacked as (R, n, 1) arrays, and a single run is a batch of one.
+Each run keeps its own noise stream (`default_rng(seed)`), taps, pending
+switches and trigger times, and equals the run of its seed alone bit for
+bit. That rests on two facts. `np.matmul(A, X)` on an (R, n, 1) stack calls
+the same BLAS gemv (a dot for a row times a state) on every row that
+`A @ x` calls on one 1-D state, so every row rounds alike; a single gemm
+(`X @ A.T`) or `einsum` orders its fused multiply-adds differently and does
+not. And the watermark filters run `watermark.fir_step`, the same
+elementwise operations in the same order as `WatermarkUnit.step`.
+`test_stacked_matmul_matches_per_row_kernels` pins the first fact for the
+installed numpy and BLAS. Identical seeds give bit-identical traces.
 """
 
 from __future__ import annotations
@@ -30,9 +40,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, InputError
 from .switching import FirParams, SwitchingConfig, _integer, _number, _numbers, sigma
-from .watermark import PeriodicTrigger, SwitchProtocol, ThresholdTrigger, make_pair
+from .watermark import PeriodicTrigger, ThresholdTrigger, admissible_taps, fir_step
 
 log = logging.getLogger(__name__)
 
@@ -43,6 +53,10 @@ STATE_OVERFLOW_SQ = STATE_OVERFLOW**2
 # trace columns and a minute or two of stepping. Longer horizons are refused
 # at load, since from some length on numpy cannot even allocate the columns.
 MAX_HORIZON = 1_000_000
+
+# The most calibration runs a threshold spec may ask for. Calibration steps
+# them as one batch, so this bounds its memory as well as its time.
+MAX_CALIBRATION_RUNS = 1000
 
 # Steps of noise drawn at once: one numpy call per block keeps the draw
 # cheap, and a fixed block size keeps its memory independent of the horizon
@@ -61,6 +75,7 @@ __all__ = [
     "SimTrace",
     "apply_attack",
     "run_scenario",
+    "run_batch",
     "resolve_threshold",
     "calibrate_threshold",
 ]
@@ -242,8 +257,8 @@ class ThresholdSpec:
             safety=_number(d.get("safety", 1.2), f"{path}.safety"),
             floor=_number(d.get("floor", 1e-6), f"{path}.floor"),
         )
-        if spec.runs < 1:
-            raise ConfigError("runs must be positive", path=f"{path}.runs")
+        if not 1 <= spec.runs <= MAX_CALIBRATION_RUNS:
+            raise ConfigError(f"runs must lie in [1, {MAX_CALIBRATION_RUNS}]", path=f"{path}.runs")
         if not 0.0 < spec.quantile <= 1.0:
             raise ConfigError("quantile must lie in (0, 1]", path=f"{path}.quantile")
         if spec.safety <= 0:
@@ -335,13 +350,15 @@ class AttackSpec:
         return out
 
 
-def apply_attack(y_w: float, history, spec: AttackSpec, k: int) -> tuple[float, bool]:
+def apply_attack(y_w, history, spec: AttackSpec, k: int) -> tuple:
     """Channel value seen by the remover at step k, plus a deferral flag.
 
     `history` holds the true transmitted values up to and including step k.
     Before `spec.start` the channel is untouched. A replay whose window
     reaches before step 0 defers activation (the flag reports it) until
-    enough history exists.
+    enough history exists. `y_w` may also be one step of a lockstep batch,
+    shape (R, 1, 1) with `history` of shape (steps, R, 1, 1); an inject
+    callable is then called once per run on that run's window.
     """
     if spec.kind == "none" or k < spec.start:
         return y_w, False
@@ -353,8 +370,12 @@ def apply_attack(y_w: float, history, spec: AttackSpec, k: int) -> tuple[float, 
             return y_w, True
         return y_w + (history[j] - y_w), False
     if spec.kind == "inject":
-        lo = max(0, k - spec.window)
-        return y_w + float(spec.inject(np.asarray(history[lo:k + 1]), k)), False
+        window = np.asarray(history[max(0, k - spec.window):k + 1])
+        if np.ndim(y_w) == 0:
+            return y_w + float(spec.inject(window, k)), False
+        terms = [float(spec.inject(np.ascontiguousarray(window[:, i, 0, 0]), k))
+                 for i in range(len(y_w))]
+        return y_w + np.reshape(terms, np.shape(y_w)), False
     raise ValueError(f"unknown attack kind {spec.kind!r}")
 
 
@@ -609,12 +630,6 @@ class SimTrace:
                 "metadata": str(out / "trace_meta.json")}
 
 
-def _check_state(name: str, state: np.ndarray, step: int) -> None:
-    peak = float(np.abs(state).max()) if state.size else 0.0
-    if not math.isfinite(peak) or peak > STATE_OVERFLOW:
-        raise DivergenceError(name, step, peak)
-
-
 def _noise_chunks(rng: np.random.Generator, plant: PlantModel, n: int):
     """The noise of an n-step run as consecutive (rows, 1 + n_x) blocks of
     NOISE_CHUNK_ROWS rows (the last may be shorter); row k is (v_k, w_k).
@@ -655,23 +670,21 @@ def _noise_chunks(rng: np.random.Generator, plant: PlantModel, n: int):
 def calibrate_threshold(scenario: Scenario) -> float:
     """Constant detector threshold from attack-free runs.
 
-    Pools |residual| over the spec's `runs` seeded runs and returns its
-    `quantile` (1.0 means the maximum) times its `safety` factor; a zero
-    result (noiseless scenario) is floored at the spec's `floor`.
+    Steps the spec's `runs` seeded runs as one lockstep batch, pools their
+    |residual| and returns its `quantile` (1.0 means the maximum) times its
+    `safety` factor; a zero result (noiseless scenario) is floored at the
+    spec's `floor`. Only the residual column of the runs is kept.
     Calibration seeds derive from the scenario seed, so the value is
     reproducible and independent of any per-run seed override used
-    afterwards.
+    afterwards. A diverging run raises DivergenceError as in `run_batch`.
     """
     if scenario.attack.kind != "none":
         raise ValueError("threshold calibration requires an attack-free scenario")
     spec = scenario.detector.threshold
     base = scenario.seed + 1_000_003
-    samples = []
-    for i in range(spec.runs):
-        trace = run_scenario(scenario, seed=base + i, threshold=math.inf)
-        samples.append(np.abs(trace.y_r))
-    pooled = np.concatenate(samples)
-    value = float(np.quantile(pooled, spec.quantile)) * spec.safety
+    seeds = range(base, base + spec.runs)
+    residual = _lockstep(scenario, seeds, scenario.horizon, residual_only=True)[0]["y_r"]
+    value = float(np.quantile(np.abs(residual), spec.quantile)) * spec.safety
     return value if value > 0.0 else spec.floor
 
 
@@ -684,124 +697,189 @@ def resolve_threshold(scenario: Scenario) -> float:
     return calibrate_threshold(scenario.without_attack())
 
 
-# a state that overflows is reported by the divergence guard, not by numpy
-@np.errstate(over="ignore")
 def run_scenario(scenario: Scenario, *, horizon: int | None = None,
                  seed: int | None = None, threshold: float | None = None) -> SimTrace:
-    """Execute one closed-loop run and return its trace.
+    """Execute one closed-loop run (the scenario's seed unless `seed` is
+    given) and return its trace: `run_batch` over that one seed."""
+    seed = scenario.seed if seed is None else seed
+    return run_batch(scenario, [seed], horizon=horizon, threshold=threshold)[0]
+
+
+def run_batch(scenario: Scenario, seeds, *, horizon: int | None = None,
+              threshold: float | None = None) -> list[SimTrace]:
+    """Execute one closed-loop run per seed, all in lockstep, and return
+    their traces in seed order; each equals the run of its seed alone.
 
     `threshold` overrides the detector threshold (calibration runs with
     inf); without it `resolve_threshold` supplies one, calibrating here if
-    the spec asks for it. The run's noise is drawn NOISE_CHUNK_ROWS steps
-    at a time: row k is (v_k, w_k), in the stream order of a per-step draw
-    (measurement noise first, process noise second).
+    the spec asks for it.
+
+    Divergence stops the whole batch: DivergenceError reports the earliest
+    step at which any run's state leaves the overflow guard, the lowest run
+    index among the runs failing at that step, and that run's first
+    offending block (plant, controller, detector order) with its peak. A
+    single run reports what it reports alone.
     """
     horizon = scenario.horizon if horizon is None else int(horizon)
-    seed = scenario.seed if seed is None else seed
     thr = resolve_threshold(scenario) if threshold is None else float(threshold)
+    seeds = list(seeds)
+    columns, switch, taps, times_w, times_q = _lockstep(scenario, seeds, horizon)
+    # one contiguous (horizon,) row per run
+    rows = {name: np.ascontiguousarray(column.T) for name, column in columns.items()}
+    alarm = np.abs(rows["y_r"]) > thr
+    switch = np.ascontiguousarray(switch.T)
+    return [
+        SimTrace(
+            k=np.arange(horizon),
+            y_p=rows["y_p"][i], y_w=rows["y_w"][i], y_w_tilde=rows["y_w_tilde"][i],
+            y_q=rows["y_q"][i], u=rows["u"][i], y_r=rows["y_r"][i],
+            y_r_bar=np.full(horizon, thr), alarm=alarm[i], switch=switch[i],
+            taps=taps[i], trigger_times_generator=times_w[i],
+            trigger_times_remover=times_q[i],
+            metadata={"seed": seed, "threshold": thr, "horizon": horizon,
+                      "attack": scenario.attack.to_dict(), "scenario": scenario.to_dict()},
+        )
+        for i, seed in enumerate(seeds)
+    ]
 
+
+# trace columns the loop writes: one (R, 1, 1) entry of each per step
+_COLUMNS = ("y_p", "y_w", "y_w_tilde", "y_q", "u", "y_r")
+
+
+def _check_step(k: int, signals, states) -> None:
+    """The guard behind a failed pre-test at step k. For the lowest run index
+    that fails, raise InputError for a non-finite watermark input (as
+    WatermarkUnit.step does), else DivergenceError for its first state block
+    beyond STATE_OVERFLOW or non-finite."""
+    peaks = [np.abs(x).max(axis=(1, 2)) for x in states]
+    failing = [~np.isfinite(s).ravel() for s in signals] + [~(p <= STATE_OVERFLOW) for p in peaks]
+    runs = np.flatnonzero(np.any(failing, axis=0))
+    if not runs.size:
+        return
+    i = runs[0]
+    for signal in signals:
+        value = float(signal[i, 0, 0])
+        if not math.isfinite(value):
+            raise InputError(f"sample must be finite, got {value!r}")
+    for name, peak in zip(("plant", "controller", "detector"), peaks):
+        if not peak[i] <= STATE_OVERFLOW:
+            raise DivergenceError(name, k, float(peak[i]))
+
+
+# a state that overflows is reported by the divergence guard, not by numpy
+@np.errstate(over="ignore", invalid="ignore")
+def _lockstep(scenario: Scenario, seeds, horizon: int, residual_only=False):
+    """Step one run per seed in lockstep; the loop behind every run.
+
+    Returns the trace columns as (horizon, R) arrays (only y_r with
+    `residual_only`), the (horizon, R) switch flags and, per run, its sparse
+    tap record and its generator and remover trigger times. Besides the
+    columns, the loop holds one block of NOISE_CHUNK_ROWS steps of noise.
+    `residual_only` needs an attack-free scenario: no y_w column to replay.
+    """
     plant, ctrl, det = scenario.plant, scenario.controller, scenario.detector
     wm, attack = scenario.watermark, scenario.attack
+    seeds = list(seeds)
+    n_runs = len(seeds)
+    matmul = np.matmul
 
-    x_p = plant.x0.copy()
-    x_c = ctrl.x0.copy()
-    x_r = det.x0.copy()
+    # states stacked as (R, n, 1): see the module docstring for why
+    x_p, x_c, x_r = (np.tile(x0[:, None], (n_runs, 1, 1)) for x0 in (plant.x0, ctrl.x0, det.x0))
+    c_p, c_r, l_r = plant.C, det.C, float(det.L[0, 0])
+    noise = [_noise_chunks(np.random.default_rng(seed), plant, horizon) for seed in seeds]
 
-    # hoisted views for the per-step scalar taps
-    c_p_row = plant.C[0]
-    c_r_row = det.C[0]
-    l_r = float(det.L[0, 0])
-    b_c_col = ctrl.B[:, 0]
-    d_c_col = ctrl.D[:, 0]
-    k_r_col = det.K[:, 0]
+    names = ("y_r",) if residual_only else _COLUMNS
+    cols = {name: np.zeros((horizon, n_runs, 1, 1)) for name in names}
+    history = cols.get("y_w")  # what replay and inject read back
+    switch = np.zeros((horizon, n_runs), dtype=bool)
+    tap_record = [[] for _ in seeds]
+    times_w, times_q = [[] for _ in seeds], [[] for _ in seeds]
 
-    # without watermark the protocols have no trigger, so no switch is ever pending
+    # without watermark there is no trigger, so no switch is ever pending
     trigger = None if wm is None else wm.make_trigger()
-    proto_w, proto_q = SwitchProtocol(trigger), SwitchProtocol(trigger)
-    tap_record = []
     if wm is not None:
-        generator, remover = make_pair(wm.initial_theta())
-        tap_record.append((0, generator.taps, remover.taps))
-
-    n = horizon
-    arr = lambda: np.zeros(n)
-    t_yp, t_yw, t_ywt, t_yq = arr(), arr(), arr(), arr()
-    t_u, t_yr = arr(), arr()
-    t_alarm = np.zeros(n, dtype=bool)
-    t_switch = np.zeros(n, dtype=bool)
-    y_w_history = np.zeros(n)
-
-    pend_w = pend_q = False
-    pend_w_input = pend_q_input = 0.0
+        theta = admissible_taps(wm.initial_theta())
+        taps_w, taps_q = [theta] * n_runs, [theta] * n_runs
+        # per-run taps as one (n_taps, R, 1, 1) table per endpoint; b_w[m] is tap m of every run
+        table_w, table_q = (np.tile(np.array(theta)[:, None, None, None], (1, n_runs, 1, 1))
+                            for _ in range(2))
+        b_w, b_q = list(table_w), list(table_q)
+        reg_w = reg_q = (np.zeros((n_runs, 1, 1)),) * (len(theta) - 1)
+        for record in tap_record:
+            record.append((0, theta, theta))
+    pend_w, pend_q = {}, {}  # run index -> the signal its trigger fired on
     replay_deferred_logged = False
-    noise = _noise_chunks(np.random.default_rng(seed), plant, n)
 
-    for k in range(n):
-        j = k % NOISE_CHUNK_ROWS
-        if j == 0:
-            block = next(noise)
-            v_col, w_blk = block[:, 0].tolist(), block[:, 1:]
+    for start in range(0, horizon, NOISE_CHUNK_ROWS):
+        # every run's next noise block side by side: (rows, R, 1 + n_x)
+        rows = min(NOISE_CHUNK_ROWS, horizon - start)
+        block = np.empty((rows, n_runs, 1 + plant.A.shape[0]))
+        for i, run in enumerate(noise):
+            block[:, i] = next(run)
+        v, w = block[:, :, :1, None], block[:, :, 1:, None]
+        c_yp, c_yw, c_ywt, c_yq, c_u, c_yr = (
+            cols[name][start:start + rows] if name in cols else None for name in _COLUMNS)
 
-        # 1. apply pending switches (between samples)
-        if pend_w or pend_q:
-            if pend_w:
-                generator.set_params(sigma(pend_w_input, wm.config))
-                pend_w = False
-            if pend_q:
-                remover.set_params(sigma(pend_q_input, wm.config))
-                pend_q = False
-            t_switch[k] = True
-            tap_record.append((k, generator.taps, remover.taps))
+        for j in range(rows):
+            k = start + j
 
-        # 2. plant output
-        y_p = float(c_p_row.dot(x_p)) + v_col[j]
+            # 1. apply pending switches (between samples)
+            if pend_w or pend_q:
+                for pend, current, table in ((pend_w, taps_w, table_w), (pend_q, taps_q, table_q)):
+                    for i, signal in pend.items():
+                        current[i] = admissible_taps(sigma(signal, wm.config), len(theta))
+                        table[:, i, 0, 0] = current[i]
+                for i in sorted(pend_w.keys() | pend_q.keys()):
+                    switch[k, i] = True
+                    tap_record[i].append((k, taps_w[i], taps_q[i]))
+                pend_w, pend_q = {}, {}
 
-        # 3. watermark, channel, attack, remover
-        y_w = y_p if wm is None else generator.step(y_p)
-        y_w_history[k] = y_w
-        y_wt, deferred = apply_attack(y_w, y_w_history, attack, k)
-        if deferred and not replay_deferred_logged:
-            log.warning(
-                "replay attack at step %d lacks %d steps of history; activation deferred",
-                k, attack.window - k,
-            )
-            replay_deferred_logged = True
-        y_q = y_wt if wm is None else remover.step(y_wt)
+            # 2. plant output
+            y_p = matmul(c_p, x_p) + v[j]
 
-        # 4. detector residual and alarm test
-        y_r = float(c_r_row.dot(x_r)) + l_r * y_q
-        alarm = abs(y_r) > thr
+            # 3. watermark, channel, attack, remover
+            y_w = y_p if wm is None else fir_step(b_w, reg_w, y_p, True)
+            if not residual_only:
+                c_yw[j] = y_w
+            y_wt, deferred = apply_attack(y_w, history, attack, k)
+            if deferred and not replay_deferred_logged:
+                log.warning(
+                    "replay attack at step %d lacks %d steps of history; activation deferred",
+                    k, attack.window - k,
+                )
+                replay_deferred_logged = True
+            if wm is None:
+                y_q = y_wt
+            else:
+                y_q = fir_step(b_q, reg_q, y_wt, False)
+                reg_w, reg_q = (y_p,) + reg_w[:-1], (y_q,) + reg_q[:-1]
 
-        # 5. controller output and state updates
-        u = ctrl.C @ x_c + d_c_col * y_q
-        x_p = plant.A @ x_p + plant.B @ u + w_blk[j]
-        x_c = ctrl.A @ x_c + b_c_col * y_q
-        x_r = det.A @ x_r + det.B @ u + k_r_col * y_q
-        # exact pre-test: the sum of squares stays within the squared bound
-        # only if every entry is finite and within STATE_OVERFLOW
-        if not x_p.dot(x_p) + x_c.dot(x_c) + x_r.dot(x_r) <= STATE_OVERFLOW_SQ:
-            _check_state("plant", x_p, k)
-            _check_state("controller", x_c, k)
-            _check_state("detector", x_r, k)
+            # 4. detector residual (the alarm test runs over the whole column afterwards)
+            y_r = matmul(c_r, x_r) + l_r * y_q
 
-        # 6. triggers for the next step, keyed on this sample's signals
-        if proto_w.check(k, y_p):
-            pend_w, pend_w_input = True, y_p
-        if proto_q.check(k, y_q):
-            pend_q, pend_q_input = True, y_q
+            # 5. controller output and state updates
+            u = matmul(ctrl.C, x_c) + ctrl.D * y_q
+            x_p = matmul(plant.A, x_p) + matmul(plant.B, u) + w[j]
+            x_c = matmul(ctrl.A, x_c) + ctrl.B * y_q
+            x_r = matmul(det.A, x_r) + matmul(det.B, u) + det.K * y_q
+            # exact pre-test: the batch's sum of squares stays within the
+            # squared bound only if every entry is finite and within STATE_OVERFLOW
+            if not np.vdot(x_p, x_p) + np.vdot(x_c, x_c) + np.vdot(x_r, x_r) <= STATE_OVERFLOW_SQ:
+                _check_step(k, () if wm is None else (y_p, y_wt), (x_p, x_c, x_r))
 
-        t_yp[k], t_yw[k], t_ywt[k], t_yq[k] = y_p, y_w, y_wt, y_q
-        t_u[k] = float(u[0])
-        t_yr[k] = y_r
-        t_alarm[k] = alarm
+            # 6. triggers for the next step, keyed on this sample's signals
+            if trigger is not None:
+                for pend, times, signal in ((pend_w, times_w, y_p), (pend_q, times_q, y_q)):
+                    fired = trigger.fires(k, signal)  # one bool for all runs, or one per run
+                    if fired is not False and np.any(fired):
+                        for i in np.flatnonzero(np.broadcast_to(fired, signal.shape)):
+                            times[i].append(k)
+                            pend[i] = float(signal[i, 0, 0])
 
-    return SimTrace(
-        k=np.arange(n),
-        y_p=t_yp, y_w=t_yw, y_w_tilde=t_ywt, y_q=t_yq,
-        u=t_u, y_r=t_yr, y_r_bar=np.full(n, thr),
-        alarm=t_alarm, switch=t_switch, taps=tap_record,
-        trigger_times_generator=list(proto_w.switch_times),
-        trigger_times_remover=list(proto_q.switch_times),
-        metadata={"seed": seed, "threshold": thr, "horizon": n,
-                  "attack": attack.to_dict(), "scenario": scenario.to_dict()},
-    )
+            c_yr[j] = y_r
+            if not residual_only:
+                c_yp[j], c_ywt[j], c_yq[j], c_u[j] = y_p, y_wt, y_q, u[:, :1]
+
+    columns = {name: cols[name].reshape(horizon, n_runs) for name in names}
+    return columns, switch, tap_record, times_w, times_q

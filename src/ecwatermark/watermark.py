@@ -96,6 +96,35 @@ def check_stability(theta) -> StabilityReport:
     return StabilityReport(tap_test, radius)
 
 
+def admissible_taps(params, count: int | None = None) -> tuple[float, ...]:
+    """`params` as a tap tuple; ParameterError if the taps are inadmissible,
+    their inverse overflows, or (given `count`) their number differs."""
+    taps = _taps(params)
+    report = validate_theta(taps)
+    if not report:
+        raise ParameterError(f"inadmissible taps: {report.violation}")
+    if not math.isfinite(1.0 / taps[0]):
+        raise ParameterError("leading tap too small to invert in double precision")
+    if count is not None and len(taps) != count:
+        raise ParameterError(f"tap count changed from {count} to {len(taps)}")
+    return taps
+
+
+def fir_step(taps, register, value, generator: bool):
+    """One output of the tap filter: b0*v + acc for the generator, (v - acc)/b0
+    for the remover, where acc starts at 0.0 and adds b_i*r_i in tap order.
+
+    The arguments are floats, or (R, 1, 1) arrays that step R filters at once
+    (`taps` and `register` then hold one such array per entry). numpy applies
+    the same IEEE operations in the same order to each row, so every row is
+    bit for bit the float result.
+    """
+    acc = 0.0
+    for b, r in zip(taps[1:], register):
+        acc += b * r
+    return taps[0] * value + acc if generator else (value - acc) / taps[0]
+
+
 class WatermarkUnit:
     """One endpoint of the pair; role is 'generator' or 'remover'.
 
@@ -109,18 +138,8 @@ class WatermarkUnit:
         if role not in self.ROLES:
             raise ValueError(f"role must be one of {self.ROLES}")
         self.role = role
-        self.taps = self._admissible(params)
+        self.taps = admissible_taps(params)
         self.reset(state)
-
-    @staticmethod
-    def _admissible(params) -> tuple[float, ...]:
-        taps = _taps(params)
-        report = validate_theta(taps)
-        if not report:
-            raise ParameterError(f"inadmissible taps: {report.violation}")
-        if not math.isfinite(1.0 / taps[0]):
-            raise ParameterError("leading tap too small to invert in double precision")
-        return taps
 
     @property
     def state(self) -> np.ndarray:
@@ -135,12 +154,7 @@ class WatermarkUnit:
 
     def set_params(self, params) -> None:
         """Adopt new taps; the shift register is kept in place (identity jump)."""
-        taps = self._admissible(params)
-        if len(taps) != len(self.taps):
-            raise ParameterError(
-                f"tap count changed from {len(self.taps)} to {len(taps)}"
-            )
-        self.taps = taps
+        self.taps = admissible_taps(params, len(self.taps))
 
     def reset(self, state=None) -> None:
         """Zero the shift register, or load `state` (most recent entry first)."""
@@ -158,16 +172,9 @@ class WatermarkUnit:
         demodulates; each shifts its own register afterwards."""
         if not isinstance(value, (int, float)) or not math.isfinite(value):
             raise InputError(f"sample must be finite, got {value!r}")
-        taps, reg = self.taps, self._register
-        acc = 0.0
-        for b, r in zip(taps[1:], reg):
-            acc += b * r
-        if self.role == "generator":
-            out = taps[0] * value + acc
-            self._register = (value,) + reg[:-1]
-        else:
-            out = (value - acc) / taps[0]
-            self._register = (out,) + reg[:-1]
+        generator = self.role == "generator"
+        out = fir_step(self.taps, self._register, value, generator)
+        self._register = (value if generator else out,) + self._register[:-1]
         return out
 
 

@@ -21,7 +21,7 @@ from ecwatermark import (
     validate_theta,
 )
 from ecwatermark.analysis import SweepSpec, sensitivity_sweep
-from ecwatermark.sim import calibrate_threshold, run_scenario
+from ecwatermark.sim import calibrate_threshold, run_batch, run_scenario
 from conftest import random_switching_config
 
 
@@ -138,15 +138,13 @@ def test_criterion_5_replay_detection():
     k_a = replay.attack.start
     window = 2 * replay.watermark.period
     seeds = list(range(100, 120))
-    detected = 0
-    detected_static = 0
-    for seed in seeds:
-        trace = run_scenario(replay, seed=seed, threshold=threshold)
-        if any(k_a <= k <= k_a + window for k in trace.alarm_steps):
-            detected += 1
-        trace_static = run_scenario(static, seed=seed, threshold=threshold)
-        if any(k_a <= k <= k_a + window for k in trace_static.alarm_steps):
-            detected_static += 1
+
+    def alarmed(scenario):
+        traces = run_batch(scenario, seeds, threshold=threshold)
+        return sum(any(k_a <= k <= k_a + window for k in t.alarm_steps) for t in traces)
+
+    detected = alarmed(replay)
+    detected_static = alarmed(static)
     ok = detected == len(seeds) and detected_static < detected
     _report(5, "replay alarmed in every switching run, fewer without switching",
             ok, f"switching {detected}/{len(seeds)}, static {detected_static}/{len(seeds)}")

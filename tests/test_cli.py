@@ -224,6 +224,19 @@ def test_sim_divergence_exit_code(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+def test_sim_diverging_calibration_exit_code(tmp_path, capsys):
+    # the attack-free calibration runs leave the overflow guard at step 0
+    d = json.loads(_write_short_scenario(tmp_path).read_text())
+    d["plant"]["process_noise"] = {"kind": "uniform", "low": [2e12, 0.0], "high": [2e12, 0.0]}
+    d["detector"]["threshold"] = {"mode": "calibrate", "runs": 3}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(d))
+    out = tmp_path / "div"
+    assert main(["sim", "--scenario", str(path), "--out", str(out)]) == 3
+    assert "diverged: state of block 'plant'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sim_io_error_exit_code(tmp_path, capsys):
     path = _write_short_scenario(tmp_path)
     blocker = tmp_path / "blocked"
@@ -249,6 +262,7 @@ def test_sim_io_error_exit_code(tmp_path, capsys):
     ("detector.threshold.floor", math.inf),
     ("horizon", 1e30),
     ("horizon", 10**30),
+    ("detector.threshold.runs", 10**9),
 ])
 def test_sim_bad_scalar_reports_field(tmp_path, capsys, field, value):
     path = _write_short_scenario(tmp_path)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import hashlib
 import json
@@ -22,12 +23,15 @@ from ecwatermark import (
     ThresholdSpec,
     WatermarkSetup,
     apply_attack,
+    InputError,
     calibrate_threshold,
+    run_batch,
     run_scenario,
     shipped,
 )
 from ecwatermark.sim import NOISE_CHUNK_ROWS, _noise_chunks, resolve_threshold
 from conftest import JSON_LIKE, leaf_paths, small_scenario_dict
+from sim_oracle import oracle_run, oracle_threshold
 
 
 # -- block closed forms --------------------------------------------------------
@@ -471,6 +475,160 @@ def test_noise_block_matches_per_step_draw(measurement, process, seed):
     assert np.array_equal(block, np.array(rows))
     # both generators consumed the same stream, not just equal values
     assert rng_block.bit_generator.state == rng_step.bit_generator.state
+
+
+# -- lockstep batch ------------------------------------------------------------------
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (2, 2), (3, 3), (8, 8), (3, 2), (2, 3), (1, 3),
+                                       (3, 1), (2, 1), (1, 2)])
+def test_stacked_matmul_matches_per_row_kernels(rows, cols):
+    """The premise of the lockstep batch: np.matmul over an (R, n, 1) stack
+    rounds every row exactly as the one-state product does (gemv for a
+    matrix, dot for a row). A numpy or BLAS build that breaks this would make
+    `run_batch` rows differ from single runs in the last bit."""
+    rng = np.random.default_rng(rows * 10 + cols)
+    M = rng.normal(size=(rows, cols))
+    X = rng.normal(size=(2000, cols, 1)) * 10.0 ** rng.integers(-3, 4, size=(2000, 1, 1))
+    Y = np.matmul(M, X)
+    for i in range(len(X)):
+        assert np.array_equal(Y[i, :, 0], M @ X[i, :, 0]), (
+            f"stacked matmul of a {rows}x{cols} matrix rounds row {i} differently "
+            "from the matrix-vector product; run_batch would not equal single runs")
+        if rows == 1:
+            assert Y[i, 0, 0] == M[0].dot(X[i, :, 0]), (
+                f"stacked row-state product rounds row {i} differently from dot")
+
+
+def _scenario(name, horizon=None, **changes):
+    d = json.loads(shipped.data_text(f"scenario_{name}.json"))
+    if horizon is not None:
+        d["horizon"] = horizon
+    for path, value in changes.items():
+        node = d
+        *keys, last = path.split("__")
+        for key in keys:
+            node = node[key]
+        node[last] = value
+    return Scenario.from_dict(d)
+
+
+def _three_state_scenario():
+    """A 3-state plant driven by 2 inputs, with a 2-state detector."""
+    d = json.loads(shipped.data_text("scenario_nominal.json"))
+    d["horizon"] = 1100
+    d["plant"] = {
+        "A": [[0.5, 0.2, 0.0], [0.0, 0.3, 0.1], [0.1, 0.0, 0.2]],
+        "B": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],
+        "C": [[1.0, 0.5, 0.2]], "x0": [4.0, -2.0, 1.0],
+        "process_noise": {"kind": "uniform", "low": [-0.02, 0.0, -0.01],
+                          "high": [0.02, 0.01, 0.01]},
+        "measurement_noise": {"kind": "normal", "mean": [0.0], "std": [0.05]},
+    }
+    d["controller"] = {"A": [[0.1]], "B": [[0.2]], "C": [[-0.1], [0.05]],
+                       "D": [[-0.1], [0.02]], "x0": [0.5]}
+    d["detector"] = {"A": [[0.5, 0.0], [0.1, 0.4]], "B": [[1.0, 0.0], [0.0, 0.5]],
+                     "K": [[0.3], [0.1]], "C": [[-1.0, 0.5]], "L": [[1.0]], "x0": [1.0, 0.0],
+                     "threshold": {"mode": "fixed", "value": 0.2}}
+    return Scenario.from_dict(d)
+
+
+def _injected(scenario):
+    attack = AttackSpec(kind="inject", start=300, window=7,
+                        inject=lambda window, k: 0.01 * float(window.sum()) - 0.001 * k)
+    return dataclasses.replace(scenario, attack=attack)
+
+
+_BATCH_CASES = {
+    # the shipped files, cut to cross one noise block boundary
+    "nominal": lambda: _scenario("nominal", 1100),
+    "replay": lambda: _scenario("replay", 1300),
+    "replay_static": lambda: _scenario("replay_static", 1300),
+    # rows switch at different steps
+    "threshold_trigger": lambda: _scenario(
+        "nominal", 600, watermark__protocol={"trigger": "threshold", "bound": 10.02}),
+    "watermark_off": lambda: _scenario("nominal", 400, watermark={"enabled": False}),
+    "bias": lambda: _scenario("nominal", 400,
+                              attack={"kind": "bias", "start": 150, "magnitude": 0.5}),
+    # a replay that defers until it has history
+    "replay_deferred": lambda: _scenario("replay", 400, attack__start=20),
+    "inject": lambda: _injected(_scenario("nominal", 500)),
+    "uniform_and_normal_noise": lambda: _scenario(
+        "nominal", 400, plant__process_noise={"kind": "normal", "mean": [0.0, 0.005],
+                                              "std": [0.02, 0.001]}),
+    "three_states_two_inputs": _three_state_scenario,
+}
+
+
+def _assert_same_run(batch_trace, single):
+    for column in ("k", "y_p", "y_w", "y_w_tilde", "y_q", "u", "y_r", "y_r_bar",
+                   "alarm", "switch"):
+        assert np.array_equal(getattr(batch_trace, column), getattr(single, column)), column
+    assert batch_trace.taps == single.taps
+    assert batch_trace.trigger_times_generator == single.trigger_times_generator
+    assert batch_trace.trigger_times_remover == single.trigger_times_remover
+    assert batch_trace.metadata == single.metadata
+
+
+@pytest.mark.parametrize("n_runs", [1, 20])
+@pytest.mark.parametrize("case", list(_BATCH_CASES))
+def test_run_batch_rows_equal_oracle(case, n_runs):
+    scenario = _BATCH_CASES[case]()
+    seeds = [2025326722 + 17 * i for i in range(n_runs)]
+    traces = run_batch(scenario, seeds, threshold=0.18)
+    assert len(traces) == n_runs
+    for seed, trace in zip(seeds, traces):
+        _assert_same_run(trace, oracle_run(scenario, seed=seed, threshold=0.18))
+    if case == "threshold_trigger" and n_runs > 1:
+        assert len({tuple(t.trigger_times_generator) for t in traces}) > 1
+
+
+@pytest.mark.parametrize("quantile", [1.0, 0.9])
+def test_calibration_equals_pooled_oracle_quantile(quantile):
+    scenario = _scenario("nominal", 1100, detector__threshold={
+        "mode": "calibrate", "runs": 6, "quantile": quantile})
+    assert calibrate_threshold(scenario) == oracle_threshold(scenario)
+
+
+def test_non_finite_watermark_input_matches_oracle():
+    # the generator output overflows at step 0: the remover's input is inf
+    scenario = _scenario("nominal", 10, plant__x0=[1.7e308, 0.0])
+    with pytest.raises(InputError) as single:
+        oracle_run(scenario, threshold=0.18)
+    with pytest.raises(InputError) as batch:
+        run_batch(scenario, [7, 8], threshold=0.18)
+    assert str(batch.value) == str(single.value)
+
+
+def _drifting_scenario(**threshold):
+    """A noise-driven random walk that leaves the overflow guard after a
+    seed-dependent number of steps."""
+    d = small_scenario_dict(horizon=60)
+    d["plant"].update(A=[[0.999]], x0=[0.0],
+                      process_noise={"kind": "uniform", "low": [0.0], "high": [2.5e11]})
+    d["detector"]["threshold"] = threshold or {"mode": "fixed", "value": 1.0}
+    return Scenario.from_dict(d)
+
+
+def _divergence(run):
+    with pytest.raises(DivergenceError) as err:
+        run()
+    return err.value.block, err.value.step, err.value.magnitude
+
+
+@pytest.mark.parametrize("seeds", [list(range(9)), list(range(8, -1, -1))])
+def test_batch_divergence_reports_earliest_step_lowest_run(seeds):
+    scenario = _drifting_scenario()
+    single = [_divergence(lambda: oracle_run(scenario, seed=s)) for s in seeds]
+    first = min(range(len(seeds)), key=lambda i: (single[i][1], i))
+    # some other run diverges at the same step with another peak: a real tie
+    assert any(s[1] == single[first][1] and s != single[first] for s in single)
+    assert _divergence(lambda: run_batch(scenario, seeds)) == single[first]
+
+
+def test_calibrating_a_diverging_scenario_names_the_block():
+    scenario = _drifting_scenario(mode="calibrate", runs=4)
+    block, step, _ = _divergence(lambda: calibrate_threshold(scenario))
+    assert block == "plant" and step < scenario.horizon
 
 
 # -- golden outputs ---------------------------------------------------------------------
