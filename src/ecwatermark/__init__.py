@@ -49,7 +49,6 @@ from .switching import (
 from .watermark import (
     PeriodicTrigger,
     StabilityReport,
-    SwitchProtocol,
     ThresholdTrigger,
     WatermarkUnit,
     apply_switch,

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, InputError
+from .errors import ConfigError, DivergenceError, InputError, ParameterError
 from .switching import FirParams, SwitchingConfig, _integer, _number, _numbers, sigma
 from .watermark import PeriodicTrigger, ThresholdTrigger, admissible_taps, fir_step
 
@@ -57,6 +57,11 @@ MAX_HORIZON = 1_000_000
 # The most calibration runs a threshold spec may ask for. Calibration steps
 # them as one batch, so this bounds its memory as well as its time.
 MAX_CALIBRATION_RUNS = 1000
+
+# The most run-steps (runs x horizon) one calibration may take: 10 runs of
+# the longest horizon, about a minute of stepping. It bounds the pooled
+# residual column to 80 MB.
+MAX_CALIBRATION_STEPS = 10**7
 
 # Steps of noise drawn at once: one numpy call per block keeps the draw
 # cheap, and a fixed block size keeps its memory independent of the horizon
@@ -122,15 +127,7 @@ class NoiseSpec:
     """Bounded-uniform (the default flavor), Gaussian, or no noise."""
 
     kind: str = "none"
-    low: tuple[float, ...] | None = None
-    high: tuple[float, ...] | None = None
-    mean: tuple[float, ...] | None = None
-    std: tuple[float, ...] | None = None
-
-    @property
-    def params(self) -> tuple:
-        """The two parameter tuples of the kind: (low, high) or (mean, std)."""
-        return (self.low, self.high) if self.kind == "uniform" else (self.mean, self.std)
+    params: tuple = ()  # (low, high) or (mean, std), one tuple per parameter
 
     @classmethod
     def from_dict(cls, data, dim: int, path: str) -> "NoiseSpec":
@@ -148,25 +145,14 @@ class NoiseSpec:
                 raise ConfigError("low must not exceed high", path=path)
             if not all(math.isfinite(h - l) for l, h in zip(low.tolist(), high.tolist())):
                 raise ConfigError("high - low must be finite", path=f"{path}.high")
-            return cls("uniform", tuple(low), tuple(high))
+            return cls("uniform", (tuple(low), tuple(high)))
         if kind == "normal":
             mean = _vector(data.get("mean"), dim, f"{path}.mean")
             std = _vector(data.get("std"), dim, f"{path}.std")
             if np.any(std < 0):
                 raise ConfigError("std must be non-negative", path=path)
-            return cls("normal", mean=tuple(mean), std=tuple(std))
+            return cls("normal", (tuple(mean), tuple(std)))
         raise ConfigError(f"unknown noise kind {kind!r}", path=path)
-
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind == "uniform":
-            out["low"] = list(self.low)
-            out["high"] = list(self.high)
-        elif self.kind == "normal":
-            out["mean"] = list(self.mean)
-            out["std"] = list(self.std)
-        return out
-
 
 @dataclass
 class PlantModel:
@@ -193,15 +179,6 @@ class PlantModel:
             NoiseSpec.from_dict(d.get("measurement_noise"), 1, f"{path}.measurement_noise"),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "A": self.A.tolist(), "B": self.B.tolist(), "C": self.C.tolist(),
-            "x0": self.x0.tolist(),
-            "process_noise": self.process_noise.to_dict(),
-            "measurement_noise": self.measurement_noise.to_dict(),
-        }
-
-
 @dataclass
 class ControllerModel:
     """xc+ = A xc + B yq,  u = C xc + D yq."""
@@ -222,11 +199,6 @@ class ControllerModel:
         D = _matrix(d.get("D"), n_u, 1, f"{path}.D")
         x0 = _vector(d.get("x0", [0.0] * nc), nc, f"{path}.x0")
         return cls(A, B, C, D, x0)
-
-    def to_dict(self) -> dict:
-        return {"A": self.A.tolist(), "B": self.B.tolist(), "C": self.C.tolist(),
-                "D": self.D.tolist(), "x0": self.x0.tolist()}
-
 
 @dataclass(frozen=True)
 class ThresholdSpec:
@@ -265,11 +237,6 @@ class ThresholdSpec:
             raise ConfigError("safety factor must be positive", path=f"{path}.safety")
         return spec
 
-    def to_dict(self) -> dict:
-        return {"mode": self.mode, "value": self.value, "runs": self.runs,
-                "quantile": self.quantile, "safety": self.safety, "floor": self.floor}
-
-
 @dataclass
 class DetectorModel:
     """xr+ = A xr + B u + K yq,  yr = C xr + L yq; A must be Schur stable."""
@@ -296,12 +263,6 @@ class DetectorModel:
             raise ConfigError("detector state matrix must be Schur stable", path=f"{path}.A")
         return cls(A, B, K, C, L, x0, ThresholdSpec.from_dict(d.get("threshold"),
                                                               f"{path}.threshold"))
-
-    def to_dict(self) -> dict:
-        return {"A": self.A.tolist(), "B": self.B.tolist(), "K": self.K.tolist(),
-                "C": self.C.tolist(), "L": self.L.tolist(), "x0": self.x0.tolist(),
-                "threshold": self.threshold.to_dict()}
-
 
 @dataclass(frozen=True)
 class AttackSpec:
@@ -338,17 +299,6 @@ class AttackSpec:
         if kind != "none" and spec.start < 0:
             raise ConfigError("start must be non-negative", path=f"{path}.start")
         return spec
-
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind != "none":
-            out["start"] = self.start
-        if self.kind == "replay":
-            out["window"] = self.window
-        if self.kind == "bias":
-            out["magnitude"] = self.magnitude
-        return out
-
 
 def apply_attack(y_w, history, spec: AttackSpec, k: int) -> tuple:
     """Channel value seen by the remover at step k, plus a deferral flag.
@@ -421,22 +371,14 @@ class WatermarkSetup:
             theta0 = None
         elif isinstance(theta0, list) and len(theta0) == config.n_h + 1:
             theta0 = FirParams(_numbers(theta0, f"{path}.theta0"))
+            try:
+                admissible_taps(theta0)
+            except ParameterError as exc:
+                raise ConfigError(str(exc), path=f"{path}.theta0") from exc
         else:
             raise ConfigError(f'expected "auto" or a list of {config.n_h + 1} taps',
                               path=f"{path}.theta0")
         return cls(config=config, trigger=trigger, period=period, bound=bound, theta0=theta0)
-
-    def to_dict(self) -> dict:
-        proto: dict = {"trigger": self.trigger}
-        if self.trigger == "periodic":
-            proto["period"] = self.period
-        if self.trigger == "threshold":
-            proto["bound"] = self.bound
-        return {
-            "config": self.config.to_dict(),
-            "protocol": proto,
-            "theta0": list(self.theta0.taps) if self.theta0 is not None else "auto",
-        }
 
     def make_trigger(self):
         if self.trigger == "periodic":
@@ -453,7 +395,15 @@ class WatermarkSetup:
 
 @dataclass
 class Scenario:
-    """One complete closed-loop setup, loadable from a JSON file."""
+    """One complete closed-loop setup, loadable from a JSON file.
+
+    `source` is the JSON object a scenario was parsed from by `from_json`
+    (and so `load`), with the secret scalar `watermark.config.l` replaced by
+    "redacted"; runs echo it to `trace_meta.json`. It is None for scenarios
+    built with `from_dict` or in code, and for those derived with
+    `dataclasses.replace` or `without_attack`: an `init=False` field is not
+    copied, so a derived scenario never echoes a file it no longer matches.
+    """
 
     plant: PlantModel
     controller: ControllerModel
@@ -462,6 +412,7 @@ class Scenario:
     attack: AttackSpec = AttackSpec()
     horizon: int = 1000
     seed: int = 0
+    source: dict | None = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def from_dict(cls, data: dict, path: str = "scenario") -> "Scenario":
@@ -477,6 +428,11 @@ class Scenario:
         n_u = plant.B.shape[1]
         controller = ControllerModel.from_dict(data["controller"], n_u, f"{path}.controller")
         detector = DetectorModel.from_dict(data["detector"], n_u, f"{path}.detector")
+        spec = detector.threshold
+        if spec.mode == "calibrate" and spec.runs * horizon > MAX_CALIBRATION_STEPS:
+            raise ConfigError(f"runs x horizon must not exceed {MAX_CALIBRATION_STEPS} "
+                              f"(got {spec.runs} x {horizon})",
+                              path=f"{path}.detector.threshold.runs")
         scenario = cls(
             plant=plant,
             controller=controller,
@@ -514,28 +470,19 @@ class Scenario:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON: {exc}", path=path) from exc
-        return cls.from_dict(data, path=path)
+        scenario = cls.from_dict(data, path=path)
+        # the parsed object has no other holder, so it is kept without a copy
+        wm = data.get("watermark")
+        config = wm.get("config") if isinstance(wm, dict) else None
+        if isinstance(config, dict) and "l" in config:
+            config["l"] = "redacted"
+        scenario.source = data
+        return scenario
 
     @classmethod
     def load(cls, filename) -> "Scenario":
         with open(filename, "r", encoding="utf-8") as fh:
             return cls.from_json(fh.read(), path=str(filename))
-
-    def to_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "plant": self.plant.to_dict(),
-            "controller": self.controller.to_dict(),
-            "detector": self.detector.to_dict(),
-            "watermark": self.watermark.to_dict() if self.watermark is not None else None,
-            "attack": self.attack.to_dict(),
-        }
-
-    def save(self, filename) -> None:
-        with open(filename, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
 
     def without_attack(self) -> "Scenario":
         return replace(self, attack=AttackSpec())
@@ -613,7 +560,10 @@ class SimTrace:
                 fh.write(",".join(fields) + "\n")
 
     def write_outputs(self, outdir) -> dict:
-        """Write trace.csv, summary.json, and the scenario metadata sidecar."""
+        """Write trace.csv, summary.json and trace_meta.json, the metadata
+        sidecar: the run's seed, threshold and horizon, and under "scenario"
+        the file the scenario was loaded from with `watermark.config.l`
+        redacted (`Scenario.source`; null for a scenario built in code)."""
         from pathlib import Path
 
         out = Path(outdir)
@@ -737,7 +687,7 @@ def run_batch(scenario: Scenario, seeds, *, horizon: int | None = None,
             taps=taps[i], trigger_times_generator=times_w[i],
             trigger_times_remover=times_q[i],
             metadata={"seed": seed, "threshold": thr, "horizon": horizon,
-                      "attack": scenario.attack.to_dict(), "scenario": scenario.to_dict()},
+                      "scenario": scenario.source},
         )
         for i, seed in enumerate(seeds)
     ]

@@ -23,7 +23,6 @@ from .switching import validate_theta
 __all__ = [
     "WatermarkUnit",
     "StabilityReport",
-    "SwitchProtocol",
     "PeriodicTrigger",
     "ThresholdTrigger",
     "make_pair",
@@ -214,19 +213,3 @@ class ThresholdTrigger:
     def fires(self, k: int, signal: float) -> bool:
         return signal > self.bound
 
-
-class SwitchProtocol:
-    """Owns one unit's trigger rule and the record of its trigger times."""
-
-    def __init__(self, trigger=None):
-        self.trigger = trigger
-        self.switch_times: list[int] = []
-
-    def check(self, k: int, signal: float) -> bool:
-        """Evaluate the trigger at time k; record and report a firing."""
-        if self.trigger is None:
-            return False
-        if self.trigger.fires(k, signal):
-            self.switch_times.append(k)
-            return True
-        return False

@@ -23,9 +23,26 @@ from ecwatermark.sim import (
     resolve_threshold,
 )
 from ecwatermark.switching import sigma
-from ecwatermark.watermark import SwitchProtocol, make_pair
+from ecwatermark.watermark import make_pair
 
 log = logging.getLogger("ecwatermark.sim")
+
+
+class SwitchProtocol:
+    """Owns one unit's trigger rule and the record of its trigger times."""
+
+    def __init__(self, trigger=None):
+        self.trigger = trigger
+        self.switch_times: list[int] = []
+
+    def check(self, k: int, signal: float) -> bool:
+        """Evaluate the trigger at time k; record and report a firing."""
+        if self.trigger is None:
+            return False
+        if self.trigger.fires(k, signal):
+            self.switch_times.append(k)
+            return True
+        return False
 
 
 def _check_state(name: str, state: np.ndarray, step: int) -> None:
@@ -147,8 +164,7 @@ def oracle_run(scenario: Scenario, *, horizon: int | None = None,
         alarm=t_alarm, switch=t_switch, taps=tap_record,
         trigger_times_generator=list(proto_w.switch_times),
         trigger_times_remover=list(proto_q.switch_times),
-        metadata={"seed": seed, "threshold": thr, "horizon": n,
-                  "attack": attack.to_dict(), "scenario": scenario.to_dict()},
+        metadata={"seed": seed, "threshold": thr, "horizon": n, "scenario": scenario.source},
     )
 
 

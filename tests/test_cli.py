@@ -10,9 +10,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ecwatermark import shipped
+from ecwatermark import Scenario, shipped
 from ecwatermark.cli import build_parser, main
-from ecwatermark.sim import MAX_HORIZON
+from ecwatermark.sim import MAX_CALIBRATION_STEPS, MAX_HORIZON
 
 from conftest import JSON_LIKE, leaf_paths
 
@@ -263,6 +263,9 @@ def test_sim_io_error_exit_code(tmp_path, capsys):
     ("horizon", 1e30),
     ("horizon", 10**30),
     ("detector.threshold.runs", 10**9),
+    ("watermark.theta0", [0.0, 0.0, 0.0]),
+    ("watermark.theta0", [1.0, 1.5, 0.0]),
+    ("watermark.theta0", [1e-320, 0.0, 0.0]),
 ])
 def test_sim_bad_scalar_reports_field(tmp_path, capsys, field, value):
     path = _write_short_scenario(tmp_path)
@@ -271,6 +274,35 @@ def test_sim_bad_scalar_reports_field(tmp_path, capsys, field, value):
     path.write_text(json.dumps(d))
     assert main(["sim", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_sim_calibration_work_capped_at_load(tmp_path, capsys):
+    d = json.loads(_write_short_scenario(tmp_path).read_text())
+    d["horizon"] = MAX_HORIZON
+    d["detector"]["threshold"] = {"mode": "calibrate", "runs": MAX_CALIBRATION_STEPS // MAX_HORIZON}
+    Scenario.from_dict(d)  # at the cap: loads, though running it takes minutes
+    d["detector"]["threshold"]["runs"] += 1
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(d))
+    out = tmp_path / "out"
+    assert main(["sim", "--scenario", str(path), "--out", str(out)]) == 2
+    assert "detector.threshold.runs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", shipped.SCENARIOS)
+def test_sim_trace_meta_echoes_the_file_with_l_redacted(tmp_path, capsys, name):
+    text = shipped.data_text(f"scenario_{name}.json")
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    out = tmp_path / "run"
+    assert main(["sim", "--scenario", str(path), "--out", str(out), "--seed", "3"]) == 0
+    threshold = json.loads(capsys.readouterr().out)["threshold"]
+    expected = json.loads(text)
+    expected["watermark"]["config"]["l"] = "redacted"
+    meta = json.loads((out / "trace_meta.json").read_text())
+    assert meta == {"seed": 3, "threshold": threshold, "horizon": expected["horizon"],
+                    "scenario": expected}
 
 
 @pytest.mark.parametrize("command", ["sim", "sweep"])

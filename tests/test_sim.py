@@ -126,9 +126,42 @@ def test_watermark_off_forms():
     del off["watermark"]
     sc = Scenario.from_dict(off)
     assert sc.watermark is None
-    assert sc.to_dict()["watermark"] is None
     trace = run_scenario(sc, horizon=50, threshold=0.2)
     assert trace.taps == [] and np.array_equal(trace.y_q, trace.y_p)
+
+
+@pytest.mark.parametrize("theta0, violation", [
+    ([0, 0, 0], "b0 must be nonzero"),
+    ([1, 1.5, 0], "|b1| must be below 1"),
+    ([1e-320, 0, 0], "too small to invert"),
+])
+def test_inadmissible_theta0_rejected_at_load(theta0, violation):
+    d = json.loads(shipped.data_text("scenario_nominal.json"))
+    d["watermark"]["theta0"] = theta0
+    with pytest.raises(ConfigError) as err:
+        Scenario.from_dict(d)
+    assert err.value.path == "scenario.watermark.theta0"
+    assert violation in err.value.message
+
+
+def test_disabled_watermark_config_is_redacted():
+    d = json.loads(shipped.data_text("scenario_replay.json"))
+    d["watermark"]["enabled"] = False
+    sc = Scenario.from_json(json.dumps(d))
+    assert sc.watermark is None
+    d["watermark"]["config"]["l"] = "redacted"
+    assert sc.source == d
+
+
+def test_only_parsed_scenarios_have_a_source():
+    loaded = shipped.load_scenario("replay")
+    assert loaded.source["watermark"]["config"]["l"] == "redacted"
+    assert loaded.watermark.config.l == 7
+    data = json.loads(shipped.data_text("scenario_replay.json"))
+    derived = (Scenario.from_dict(data), dataclasses.replace(loaded, seed=3),
+               loaded.without_attack())
+    assert all(sc.source is None for sc in derived)
+    assert run_scenario(derived[2], horizon=5, threshold=1.0).metadata["scenario"] is None
 
 
 _NOMINAL = json.loads(shipped.data_text("scenario_nominal.json"))
@@ -147,13 +180,6 @@ def test_loader_fuzz_one_leaf(path, value):
         Scenario.from_dict(d)
     except ConfigError:
         pass
-
-
-def test_scenario_round_trip(tmp_path):
-    sc = shipped.load_scenario("nominal")
-    path = tmp_path / "sc.json"
-    sc.save(path)
-    assert Scenario.load(path).to_dict() == sc.to_dict()
 
 
 # -- attack primitives ---------------------------------------------------------------
@@ -436,13 +462,14 @@ def test_divergence_pretest_falls_through_to_block_checks(scenario, block, step,
 
 # -- noise block ----------------------------------------------------------------------
 
-def _per_step_noise(rng, spec, dim):
-    """One step's draw of one source: the reference the noise block reproduces."""
-    if spec.kind == "uniform":
-        return rng.uniform(spec.low, spec.high)
-    if spec.kind == "normal":
-        return rng.normal(spec.mean, spec.std)
-    return np.zeros(dim)
+def _per_step_noise(rng, section, dim):
+    """One step's draw of one source, with the parameters of its JSON section:
+    the reference the noise block reproduces."""
+    if section is None:
+        return np.zeros(dim)
+    if section["kind"] == "uniform":
+        return rng.uniform(section["low"], section["high"])
+    return rng.normal(section["mean"], section["std"])
 
 
 _NOISE_SECTIONS = {
@@ -459,8 +486,9 @@ _NOISE_SECTIONS = {
 @pytest.mark.parametrize("process", ["none", "uniform", "normal"])
 @pytest.mark.parametrize("measurement", ["none", "uniform", "normal"])
 def test_noise_block_matches_per_step_draw(measurement, process, seed):
-    v_spec = NoiseSpec.from_dict(_NOISE_SECTIONS[1][measurement], 1, "v")
-    w_spec = NoiseSpec.from_dict(_NOISE_SECTIONS[2][process], 2, "w")
+    v_section, w_section = _NOISE_SECTIONS[1][measurement], _NOISE_SECTIONS[2][process]
+    v_spec = NoiseSpec.from_dict(v_section, 1, "v")
+    w_spec = NoiseSpec.from_dict(w_section, 2, "w")
     plant = PlantModel(A=np.eye(2), B=np.zeros((2, 1)), C=np.zeros((1, 2)),
                        x0=np.zeros(2), process_noise=w_spec, measurement_noise=v_spec)
     # two full blocks and a short third one
@@ -469,8 +497,8 @@ def test_noise_block_matches_per_step_draw(measurement, process, seed):
     chunks = list(_noise_chunks(rng_block, plant, n))
     assert [len(c) for c in chunks] == [NOISE_CHUNK_ROWS, NOISE_CHUNK_ROWS, 300]
     block = np.concatenate(chunks)
-    rows = [np.concatenate([_per_step_noise(rng_step, v_spec, 1),
-                            _per_step_noise(rng_step, w_spec, 2)]) for _ in range(n)]
+    rows = [np.concatenate([_per_step_noise(rng_step, v_section, 1),
+                            _per_step_noise(rng_step, w_section, 2)]) for _ in range(n)]
     assert block.shape == (n, 3) and block.dtype == np.float64
     assert np.array_equal(block, np.array(rows))
     # both generators consumed the same stream, not just equal values

@@ -10,7 +10,6 @@ from ecwatermark import (
     InputError,
     ParameterError,
     PeriodicTrigger,
-    SwitchProtocol,
     ThresholdTrigger,
     apply_switch,
     check_stability,
@@ -20,6 +19,7 @@ from ecwatermark import (
     remover_matrices,
     validate_theta,
 )
+from sim_oracle import SwitchProtocol
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
