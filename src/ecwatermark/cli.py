@@ -23,7 +23,7 @@ from pathlib import Path
 from .analysis import SweepSpec, sensitivity_sweep, voronoi_rows
 from .curve import Curve
 from .errors import ConfigError, DivergenceError, EcwmError
-from .sim import Scenario, resolve_threshold, run_scenario
+from .sim import Scenario, run_scenario
 from .switching import SwitchingConfig, sigma_detail, validate_theta
 from . import shipped, svgplot
 
@@ -184,13 +184,12 @@ def cmd_voronoi(args) -> int:
 
 def cmd_sim(args) -> int:
     scenario = Scenario.load(args.scenario)
-    # resolved before the run, so timing run_scenario leaves calibration out
-    thr = resolve_threshold(scenario)
-    trace = run_scenario(scenario, seed=args.seed, threshold=thr)
+    # a calibrated threshold is computed in the run's own lockstep batch
+    trace = run_scenario(scenario, seed=args.seed)
     paths = trace.write_outputs(args.out)
     summary = trace.summary()
     print(json.dumps({
-        "threshold": thr,
+        "threshold": summary["threshold"],
         "n_alarms": summary["n_alarms"],
         "first_alarm": summary["first_alarm"],
         "switches": len(summary["switch_steps"]),

@@ -12,9 +12,9 @@ controller. Within one sample the order is fixed and documented:
    remover demodulates;
 4. detector residual and alarm test against the (constant) threshold;
 5. controller output, then all state updates with process noise. The
-   run's noise is drawn in blocks of NOISE_CHUNK_ROWS steps whose row k is
-   (v_k, w_k), in the stream order of a per-step draw: measurement noise
-   first, then process noise;
+   run's noise is drawn in blocks of steps whose row k is (v_k, w_k), in the
+   stream order of a per-step draw: measurement noise first, then process
+   noise;
 6. triggers are evaluated on this sample's signals for the next step.
 
 Runs step in lockstep: `run_batch` advances R runs, one per seed, together
@@ -63,10 +63,10 @@ MAX_CALIBRATION_RUNS = 1000
 # residual column to 80 MB.
 MAX_CALIBRATION_STEPS = 10**7
 
-# Steps of noise drawn at once: one numpy call per block keeps the draw
-# cheap, and a fixed block size keeps its memory independent of the horizon
-# (1.6 MB for a 200-state plant).
-NOISE_CHUNK_ROWS = 1024
+# Noise values drawn at once across a batch: one numpy call per run and block
+# keeps the draw cheap, and the fixed budget bounds the block's memory (2 MB)
+# whatever the horizon, the number of runs or the plant's order.
+NOISE_BLOCK_VALUES = 1 << 18
 
 __all__ = [
     "NoiseSpec",
@@ -300,7 +300,7 @@ class AttackSpec:
             raise ConfigError("start must be non-negative", path=f"{path}.start")
         return spec
 
-def apply_attack(y_w, history, spec: AttackSpec, k: int) -> tuple:
+def apply_attack(y_w, history, spec: AttackSpec, k: int, runs=None) -> tuple:
     """Channel value seen by the remover at step k, plus a deferral flag.
 
     `history` holds the true transmitted values up to and including step k.
@@ -308,10 +308,15 @@ def apply_attack(y_w, history, spec: AttackSpec, k: int) -> tuple:
     reaches before step 0 defers activation (the flag reports it) until
     enough history exists. `y_w` may also be one step of a lockstep batch,
     shape (R, 1, 1) with `history` of shape (steps, R, 1, 1); an inject
-    callable is then called once per run on that run's window.
+    callable is then called once per run on that run's window. Given
+    `runs`, only the batch's first `runs` rows are attacked and `history`
+    holds theirs alone; the rows after them pass unchanged.
     """
     if spec.kind == "none" or k < spec.start:
         return y_w, False
+    if runs is not None:
+        attacked, deferred = apply_attack(y_w[:runs], history, spec, k)
+        return np.concatenate((attacked, y_w[runs:])), deferred
     if spec.kind == "bias":
         return y_w + spec.magnitude, False
     if spec.kind == "replay":
@@ -580,15 +585,15 @@ class SimTrace:
                 "metadata": str(out / "trace_meta.json")}
 
 
-def _noise_chunks(rng: np.random.Generator, plant: PlantModel, n: int):
-    """The noise of an n-step run as consecutive (rows, 1 + n_x) blocks of
-    NOISE_CHUNK_ROWS rows (the last may be shorter); row k is (v_k, w_k).
+def _noise_chunks(rng: np.random.Generator, plant: PlantModel, n: int, rows: int):
+    """The noise of an n-step run as consecutive (rows, 1 + n_x) blocks (the
+    last may be shorter); row k is (v_k, w_k).
 
     Values and stream order equal a per-step draw of the measurement noise,
-    then the process noise: numpy fills a draw in C order, so consecutive
-    blocks continue one stream. Sources of one kind (a `none` source draws
-    nothing) take one call per block with their parameters concatenated;
-    uniform mixed with normal noise is drawn row by row.
+    then the process noise, for any `rows`: numpy fills a draw in C order,
+    so consecutive blocks continue one stream. Sources of one kind (a `none`
+    source draws nothing) take one call per block with their parameters
+    concatenated; uniform mixed with normal noise is drawn row by row.
     """
     width = 1 + plant.A.shape[0]
     sources = [(spec, cols) for spec, cols in ((plant.measurement_noise, slice(0, 1)),
@@ -601,15 +606,15 @@ def _noise_chunks(rng: np.random.Generator, plant: PlantModel, n: int):
         a = sum((spec.params[0] for spec, _ in sources), ())
         b = sum((spec.params[1] for spec, _ in sources), ())
         cols = slice(sources[0][1].start, sources[-1][1].stop)
-    for start in range(0, n, NOISE_CHUNK_ROWS):
-        rows = min(NOISE_CHUNK_ROWS, n - start)
+    for start in range(0, n, rows):
+        size = min(rows, n - start)
         if one_kind and len(sources) == 2:
             # both sources: the draw is the whole block
-            yield draw[kind](a, b, (rows, width))
+            yield draw[kind](a, b, (size, width))
             continue
-        block = np.zeros((rows, width))
+        block = np.zeros((size, width))
         if one_kind:
-            block[:, cols] = draw[kind](a, b, (rows, len(a)))
+            block[:, cols] = draw[kind](a, b, (size, len(a)))
         elif sources:
             for row in block:
                 for spec, cols in sources:
@@ -618,24 +623,12 @@ def _noise_chunks(rng: np.random.Generator, plant: PlantModel, n: int):
 
 
 def calibrate_threshold(scenario: Scenario) -> float:
-    """Constant detector threshold from attack-free runs.
-
-    Steps the spec's `runs` seeded runs as one lockstep batch, pools their
-    |residual| and returns its `quantile` (1.0 means the maximum) times its
-    `safety` factor; a zero result (noiseless scenario) is floored at the
-    spec's `floor`. Only the residual column of the runs is kept.
-    Calibration seeds derive from the scenario seed, so the value is
-    reproducible and independent of any per-run seed override used
-    afterwards. A diverging run raises DivergenceError as in `run_batch`.
-    """
+    """Constant detector threshold from the spec's `runs` attack-free runs
+    (see `_lockstep`): a lockstep batch of calibration rows only. A diverging
+    run raises DivergenceError as in `run_batch`."""
     if scenario.attack.kind != "none":
         raise ValueError("threshold calibration requires an attack-free scenario")
-    spec = scenario.detector.threshold
-    base = scenario.seed + 1_000_003
-    seeds = range(base, base + spec.runs)
-    residual = _lockstep(scenario, seeds, scenario.horizon, residual_only=True)[0]["y_r"]
-    value = float(np.quantile(np.abs(residual), spec.quantile)) * spec.safety
-    return value if value > 0.0 else spec.floor
+    return _lockstep(scenario, [], scenario.horizon, calibrate=True)[-1]
 
 
 def resolve_threshold(scenario: Scenario) -> float:
@@ -660,20 +653,27 @@ def run_batch(scenario: Scenario, seeds, *, horizon: int | None = None,
     """Execute one closed-loop run per seed, all in lockstep, and return
     their traces in seed order; each equals the run of its seed alone.
 
-    `threshold` overrides the detector threshold (calibration runs with
-    inf); without it `resolve_threshold` supplies one, calibrating here if
-    the spec asks for it.
+    `threshold` overrides the detector threshold. Without it a fixed spec
+    gives its value, and a calibrating spec adds the runs of
+    `calibrate_threshold` to the batch as rows after the runs, so the
+    horizon must then be the scenario's (ValueError otherwise).
 
     Divergence stops the whole batch: DivergenceError reports the earliest
-    step at which any run's state leaves the overflow guard, the lowest run
-    index among the runs failing at that step, and that run's first
-    offending block (plant, controller, detector order) with its peak. A
-    single run reports what it reports alone.
+    step at which any row's state leaves the overflow guard, the lowest row
+    index among the rows failing at that step (runs before calibration
+    runs), and that row's first offending block (plant, controller, detector
+    order) with its peak. A single run reports what it reports alone.
     """
+    spec = scenario.detector.threshold
     horizon = scenario.horizon if horizon is None else int(horizon)
-    thr = resolve_threshold(scenario) if threshold is None else float(threshold)
+    calibrate = threshold is None and spec.mode == "calibrate"
+    if calibrate and horizon != scenario.horizon:
+        raise ValueError("a horizon override needs an explicit threshold: "
+                         "calibration runs span the scenario's horizon")
     seeds = list(seeds)
-    columns, switch, taps, times_w, times_q = _lockstep(scenario, seeds, horizon)
+    columns, switch, taps, times_w, times_q, thr = _lockstep(scenario, seeds, horizon, calibrate)
+    if not calibrate:
+        thr = float(spec.value if threshold is None else threshold)
     # one contiguous (horizon,) row per run
     rows = {name: np.ascontiguousarray(column.T) for name, column in columns.items()}
     alarm = np.abs(rows["y_r"]) > thr
@@ -719,66 +719,78 @@ def _check_step(k: int, signals, states) -> None:
 
 # a state that overflows is reported by the divergence guard, not by numpy
 @np.errstate(over="ignore", invalid="ignore")
-def _lockstep(scenario: Scenario, seeds, horizon: int, residual_only=False):
+def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
     """Step one run per seed in lockstep; the loop behind every run.
 
-    Returns the trace columns as (horizon, R) arrays (only y_r with
-    `residual_only`), the (horizon, R) switch flags and, per run, its sparse
-    tap record and its generator and remover trigger times. Besides the
-    columns, the loop holds one block of NOISE_CHUNK_ROWS steps of noise.
-    `residual_only` needs an attack-free scenario: no y_w column to replay.
+    With `calibrate`, the threshold spec's `runs` calibration runs follow as
+    attack-free rows that keep only their residual, seeded from the scenario
+    seed, so the threshold is reproducible whatever the run seeds. Returns
+    the runs' trace columns as (horizon, R) arrays, their (horizon, R) switch
+    flags and, per run, its sparse tap record and its generator and remover
+    trigger times; then the calibrated threshold, or None. Besides the
+    columns, the loop holds one block of about NOISE_BLOCK_VALUES noise values.
     """
     plant, ctrl, det = scenario.plant, scenario.controller, scenario.detector
-    wm, attack = scenario.watermark, scenario.attack
-    seeds = list(seeds)
+    wm, attack, spec = scenario.watermark, scenario.attack, det.threshold
     n_runs = len(seeds)
+    base = scenario.seed + 1_000_003
+    all_seeds = seeds + (list(range(base, base + spec.runs)) if calibrate else [])
+    n_rows = len(all_seeds)
+    run = slice(0, n_runs)
     matmul = np.matmul
 
     # states stacked as (R, n, 1): see the module docstring for why
-    x_p, x_c, x_r = (np.tile(x0[:, None], (n_runs, 1, 1)) for x0 in (plant.x0, ctrl.x0, det.x0))
+    x_p, x_c, x_r = (np.tile(x0[:, None], (n_rows, 1, 1)) for x0 in (plant.x0, ctrl.x0, det.x0))
     c_p, c_r, l_r = plant.C, det.C, float(det.L[0, 0])
-    noise = [_noise_chunks(np.random.default_rng(seed), plant, horizon) for seed in seeds]
+    width = 1 + plant.A.shape[0]
+    block_rows = max(1, NOISE_BLOCK_VALUES // (n_rows * width))
+    noise = [_noise_chunks(np.random.default_rng(seed), plant, horizon, block_rows)
+             for seed in all_seeds]
 
-    names = ("y_r",) if residual_only else _COLUMNS
-    cols = {name: np.zeros((horizon, n_runs, 1, 1)) for name in names}
-    history = cols.get("y_w")  # what replay and inject read back
-    switch = np.zeros((horizon, n_runs), dtype=bool)
-    tap_record = [[] for _ in seeds]
-    times_w, times_q = [[] for _ in seeds], [[] for _ in seeds]
+    cols = {name: np.zeros((horizon, n_runs, 1, 1)) for name in _COLUMNS}
+    residual = np.zeros((horizon, n_rows - n_runs, 1, 1))
+    history = cols["y_w"]  # what replay and inject read back
+    switch = np.zeros((horizon, n_rows), dtype=bool)
+    tap_record = [[] for _ in all_seeds]
+    times_w, times_q = [[] for _ in all_seeds], [[] for _ in all_seeds]
 
     # without watermark there is no trigger, so no switch is ever pending
     trigger = None if wm is None else wm.make_trigger()
     if wm is not None:
         theta = admissible_taps(wm.initial_theta())
-        taps_w, taps_q = [theta] * n_runs, [theta] * n_runs
-        # per-run taps as one (n_taps, R, 1, 1) table per endpoint; b_w[m] is tap m of every run
-        table_w, table_q = (np.tile(np.array(theta)[:, None, None, None], (1, n_runs, 1, 1))
+        taps_w, taps_q = [theta] * n_rows, [theta] * n_rows
+        # per-row taps as one (n_taps, R, 1, 1) table per endpoint; b_w[m] is tap m of every row
+        table_w, table_q = (np.tile(np.array(theta)[:, None, None, None], (1, n_rows, 1, 1))
                             for _ in range(2))
         b_w, b_q = list(table_w), list(table_q)
-        reg_w = reg_q = (np.zeros((n_runs, 1, 1)),) * (len(theta) - 1)
+        reg_w = reg_q = (np.zeros((n_rows, 1, 1)),) * (len(theta) - 1)
         for record in tap_record:
             record.append((0, theta, theta))
-    pend_w, pend_q = {}, {}  # run index -> the signal its trigger fired on
+    pend_w, pend_q = {}, {}  # row index -> the signal its trigger fired on
     replay_deferred_logged = False
 
-    for start in range(0, horizon, NOISE_CHUNK_ROWS):
-        # every run's next noise block side by side: (rows, R, 1 + n_x)
-        rows = min(NOISE_CHUNK_ROWS, horizon - start)
-        block = np.empty((rows, n_runs, 1 + plant.A.shape[0]))
-        for i, run in enumerate(noise):
-            block[:, i] = next(run)
+    for start in range(0, horizon, block_rows):
+        # every row's next noise block side by side: (rows, R, 1 + n_x)
+        rows = min(block_rows, horizon - start)
+        block = np.empty((rows, n_rows, width))
+        for i, stream in enumerate(noise):
+            block[:, i] = next(stream)
         v, w = block[:, :, :1, None], block[:, :, 1:, None]
-        c_yp, c_yw, c_ywt, c_yq, c_u, c_yr = (
-            cols[name][start:start + rows] if name in cols else None for name in _COLUMNS)
+        c_yp, c_yw, c_ywt, c_yq, c_u, c_yr, c_res = (
+            column[start:start + rows] for column in (*map(cols.get, _COLUMNS), residual))
 
         for j in range(rows):
             k = start + j
 
-            # 1. apply pending switches (between samples)
+            # 1. apply pending switches (between samples); sigma is a pure
+            # function of the sample, so each distinct key is derived once
             if pend_w or pend_q:
+                derived = {}
                 for pend, current, table in ((pend_w, taps_w, table_w), (pend_q, taps_q, table_q)):
                     for i, signal in pend.items():
-                        current[i] = admissible_taps(sigma(signal, wm.config), len(theta))
+                        if signal not in derived:
+                            derived[signal] = admissible_taps(sigma(signal, wm.config), len(theta))
+                        current[i] = derived[signal]
                         table[:, i, 0, 0] = current[i]
                 for i in sorted(pend_w.keys() | pend_q.keys()):
                     switch[k, i] = True
@@ -790,9 +802,8 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, residual_only=False):
 
             # 3. watermark, channel, attack, remover
             y_w = y_p if wm is None else fir_step(b_w, reg_w, y_p, True)
-            if not residual_only:
-                c_yw[j] = y_w
-            y_wt, deferred = apply_attack(y_w, history, attack, k)
+            c_yw[j] = y_w[run]
+            y_wt, deferred = apply_attack(y_w, history, attack, k, n_runs)
             if deferred and not replay_deferred_logged:
                 log.warning(
                     "replay attack at step %d lacks %d steps of history; activation deferred",
@@ -813,23 +824,32 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, residual_only=False):
             x_p = matmul(plant.A, x_p) + matmul(plant.B, u) + w[j]
             x_c = matmul(ctrl.A, x_c) + ctrl.B * y_q
             x_r = matmul(det.A, x_r) + matmul(det.B, u) + det.K * y_q
-            # exact pre-test: the batch's sum of squares stays within the
-            # squared bound only if every entry is finite and within STATE_OVERFLOW
-            if not np.vdot(x_p, x_p) + np.vdot(x_c, x_c) + np.vdot(x_r, x_r) <= STATE_OVERFLOW_SQ:
+            # exact pre-test: the batch's sum of squares stays within the squared
+            # bound only if every entry is finite and within STATE_OVERFLOW. Past
+            # it, each block's peak tells whether any run fails before the guard
+            # looks for the run: many runs within the bound can sum past it.
+            if not (np.vdot(x_p, x_p) + np.vdot(x_c, x_c) + np.vdot(x_r, x_r) <= STATE_OVERFLOW_SQ
+                    or all(np.abs(x).max() <= STATE_OVERFLOW for x in (x_p, x_c, x_r))):
                 _check_step(k, () if wm is None else (y_p, y_wt), (x_p, x_c, x_r))
 
             # 6. triggers for the next step, keyed on this sample's signals
             if trigger is not None:
                 for pend, times, signal in ((pend_w, times_w, y_p), (pend_q, times_q, y_q)):
-                    fired = trigger.fires(k, signal)  # one bool for all runs, or one per run
+                    fired = trigger.fires(k, signal)  # one bool for all rows, or one per row
                     if fired is not False and np.any(fired):
                         for i in np.flatnonzero(np.broadcast_to(fired, signal.shape)):
                             times[i].append(k)
                             pend[i] = float(signal[i, 0, 0])
 
-            c_yr[j] = y_r
-            if not residual_only:
-                c_yp[j], c_ywt[j], c_yq[j], c_u[j] = y_p, y_wt, y_q, u[:, :1]
+            c_yr[j], c_res[j] = y_r[run], y_r[n_runs:]
+            c_yp[j], c_ywt[j], c_yq[j], c_u[j] = y_p[run], y_wt[run], y_q[run], u[run, :1]
 
-    columns = {name: cols[name].reshape(horizon, n_runs) for name in names}
-    return columns, switch, tap_record, times_w, times_q
+    columns = {name: cols[name].reshape(horizon, n_runs) for name in _COLUMNS}
+    threshold = None
+    if calibrate:
+        # the quantile (1.0: the maximum) of the pooled |residual|, taken in
+        # place, times the safety factor; zero (noiseless) gives the floor
+        np.abs(residual, out=residual)
+        value = float(np.quantile(residual, spec.quantile, overwrite_input=True)) * spec.safety
+        threshold = value if value > 0.0 else spec.floor
+    return columns, switch[:, run], tap_record[run], times_w[run], times_q[run], threshold

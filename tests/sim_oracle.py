@@ -13,7 +13,6 @@ import numpy as np
 
 from ecwatermark.errors import DivergenceError
 from ecwatermark.sim import (
-    NOISE_CHUNK_ROWS,
     STATE_OVERFLOW,
     STATE_OVERFLOW_SQ,
     Scenario,
@@ -96,14 +95,11 @@ def oracle_run(scenario: Scenario, *, horizon: int | None = None,
     pend_w = pend_q = False
     pend_w_input = pend_q_input = 0.0
     replay_deferred_logged = False
-    noise = _noise_chunks(np.random.default_rng(seed), plant, n)
+    # the whole run's noise as one block: the stream does not depend on the block size
+    block = next(_noise_chunks(np.random.default_rng(seed), plant, n, n))
+    v_col, w_blk = block[:, 0].tolist(), block[:, 1:]
 
     for k in range(n):
-        j = k % NOISE_CHUNK_ROWS
-        if j == 0:
-            block = next(noise)
-            v_col, w_blk = block[:, 0].tolist(), block[:, 1:]
-
         # 1. apply pending switches (between samples)
         if pend_w or pend_q:
             if pend_w:
@@ -116,7 +112,7 @@ def oracle_run(scenario: Scenario, *, horizon: int | None = None,
             tap_record.append((k, generator.taps, remover.taps))
 
         # 2. plant output
-        y_p = float(c_p_row.dot(x_p)) + v_col[j]
+        y_p = float(c_p_row.dot(x_p)) + v_col[k]
 
         # 3. watermark, channel, attack, remover
         y_w = y_p if wm is None else generator.step(y_p)
@@ -136,7 +132,7 @@ def oracle_run(scenario: Scenario, *, horizon: int | None = None,
 
         # 5. controller output and state updates
         u = ctrl.C @ x_c + d_c_col * y_q
-        x_p = plant.A @ x_p + plant.B @ u + w_blk[j]
+        x_p = plant.A @ x_p + plant.B @ u + w_blk[k]
         x_c = ctrl.A @ x_c + b_c_col * y_q
         x_r = det.A @ x_r + det.B @ u + k_r_col * y_q
         # exact pre-test: the sum of squares stays within the squared bound

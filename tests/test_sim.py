@@ -29,7 +29,8 @@ from ecwatermark import (
     run_scenario,
     shipped,
 )
-from ecwatermark.sim import NOISE_CHUNK_ROWS, _noise_chunks, resolve_threshold
+from ecwatermark import sim
+from ecwatermark.sim import _noise_chunks, resolve_threshold
 from conftest import JSON_LIKE, leaf_paths, small_scenario_dict
 from sim_oracle import oracle_run, oracle_threshold
 
@@ -223,6 +224,23 @@ def test_inject_attack_callable():
                       inject=lambda window, k: float(window.max()))
     value, _ = apply_attack(1.0, [5.0, 2.0, 1.0], spec, 2)
     assert value == 6.0
+
+
+@pytest.mark.parametrize("spec", [
+    AttackSpec(kind="bias", start=3, magnitude=0.5),
+    AttackSpec(kind="replay", start=3, window=2),
+    AttackSpec(kind="inject", start=3, window=2, inject=lambda window, k: float(window.sum()) * k),
+])
+def test_attack_on_leading_runs_leaves_other_rows_unchanged(spec):
+    rng = np.random.default_rng(3)
+    history = rng.normal(size=(6, 2, 1, 1))  # the two attacked runs' values only
+    y_w = np.concatenate((history[5], rng.normal(size=(3, 1, 1))))
+    before = y_w.copy()
+    value, deferred = apply_attack(y_w, history, spec, 5, runs=2)
+    alone, _ = apply_attack(y_w[:2], history, spec, 5)
+    assert np.array_equal(value[:2], alone) and np.array_equal(value[2:], before[2:])
+    assert not np.array_equal(value[:2], before[:2]) and not deferred
+    assert np.array_equal(y_w, before)  # the input is not written to
 
 
 def test_unknown_attack_kind_rejected():
@@ -460,6 +478,16 @@ def test_divergence_pretest_falls_through_to_block_checks(scenario, block, step,
     assert err.value.magnitude == peak or (math.isnan(peak) and math.isnan(err.value.magnitude))
 
 
+def test_divergence_pretest_spares_the_guard_for_bounded_runs(monkeypatch):
+    # 20 runs each well inside the guard, whose squares sum past the bound
+    guarded = []
+    monkeypatch.setattr(sim, "_check_step", lambda k, *_: guarded.append(k))
+    traces = run_batch(_held_scenario([[1.0]], [3e11]), range(20))
+    assert len(traces) == 20 and guarded == []
+    run_batch(_held_scenario([[1.0]], [1.0000001e12]), range(20))
+    assert guarded == list(range(6))
+
+
 # -- noise block ----------------------------------------------------------------------
 
 def _per_step_noise(rng, section, dim):
@@ -491,18 +519,32 @@ def test_noise_block_matches_per_step_draw(measurement, process, seed):
     w_spec = NoiseSpec.from_dict(w_section, 2, "w")
     plant = PlantModel(A=np.eye(2), B=np.zeros((2, 1)), C=np.zeros((1, 2)),
                        x0=np.zeros(2), process_noise=w_spec, measurement_noise=v_spec)
-    # two full blocks and a short third one
-    n = 2 * NOISE_CHUNK_ROWS + 300
-    rng_block, rng_step = np.random.default_rng(seed), np.random.default_rng(seed)
-    chunks = list(_noise_chunks(rng_block, plant, n))
-    assert [len(c) for c in chunks] == [NOISE_CHUNK_ROWS, NOISE_CHUNK_ROWS, 300]
-    block = np.concatenate(chunks)
-    rows = [np.concatenate([_per_step_noise(rng_step, v_section, 1),
-                            _per_step_noise(rng_step, w_section, 2)]) for _ in range(n)]
-    assert block.shape == (n, 3) and block.dtype == np.float64
-    assert np.array_equal(block, np.array(rows))
-    # both generators consumed the same stream, not just equal values
-    assert rng_block.bit_generator.state == rng_step.bit_generator.state
+    # two full blocks and a short third one, for long and short blocks
+    for size, short in ((1024, 300), (7, 3)):
+        n = 2 * size + short
+        rng_block, rng_step = np.random.default_rng(seed), np.random.default_rng(seed)
+        chunks = list(_noise_chunks(rng_block, plant, n, size))
+        assert [len(c) for c in chunks] == [size, size, short]
+        block = np.concatenate(chunks)
+        rows = [np.concatenate([_per_step_noise(rng_step, v_section, 1),
+                                _per_step_noise(rng_step, w_section, 2)]) for _ in range(n)]
+        assert block.shape == (n, 3) and block.dtype == np.float64
+        assert np.array_equal(block, np.array(rows))
+        # both generators consumed the same stream, not just equal values
+        assert rng_block.bit_generator.state == rng_step.bit_generator.state
+
+
+def test_noise_block_rows_follow_the_value_budget(monkeypatch):
+    sizes = []
+
+    def spy(rng, plant, n, rows):
+        sizes.append(rows)
+        return _noise_chunks(rng, plant, n, rows)
+
+    monkeypatch.setattr(sim, "_noise_chunks", spy)
+    # 100 runs of a 200-state plant: 13 steps of noise at once, not 1024
+    run_batch(_held_scenario(np.eye(200) * 0.5, np.zeros(200)), range(100))
+    assert sizes == [sim.NOISE_BLOCK_VALUES // (100 * 201)] * 100 == [13] * 100
 
 
 # -- lockstep batch ------------------------------------------------------------------
@@ -615,6 +657,55 @@ def test_calibration_equals_pooled_oracle_quantile(quantile):
     scenario = _scenario("nominal", 1100, detector__threshold={
         "mode": "calibrate", "runs": 6, "quantile": quantile})
     assert calibrate_threshold(scenario) == oracle_threshold(scenario)
+
+
+_CALIBRATED = {"mode": "calibrate", "runs": 4}
+
+_MERGED_CASES = {
+    # the shipped files at the golden seeds, all three runs in one call
+    **{name: (functools.partial(shipped.load_scenario, name), [7, 104, 2025326722])
+       for name in shipped.SCENARIOS},
+    "replay_deferred": (lambda: _scenario("replay", 400, attack__start=20,
+                                          detector__threshold=_CALIBRATED), [5]),
+    "inject": (lambda: _injected(_scenario("nominal", 500, detector__threshold=_CALIBRATED)),
+               [5, 6]),
+    # rows switch at different steps
+    "threshold_trigger": (lambda: _scenario(
+        "nominal", 600, watermark__protocol={"trigger": "threshold", "bound": 10.02},
+        detector__threshold=_CALIBRATED), [5, 6, 7, 8]),
+    "watermark_off": (lambda: _scenario("replay", 1300, watermark={"enabled": False},
+                                        detector__threshold=_CALIBRATED), [5, 6]),
+    "fixed_threshold": (lambda: _scenario("replay", 1300, detector__threshold={
+        "mode": "fixed", "value": 0.18}), [5, 6]),
+}
+
+
+@pytest.mark.parametrize("case", list(_MERGED_CASES))
+def test_one_batch_equals_two_pass(case, caplog):
+    """A run whose calibration rides in its own batch equals calibrating
+    first and running after, both one run at a time."""
+    make, seeds = _MERGED_CASES[case]
+    scenario = make()
+    with caplog.at_level(logging.WARNING, logger="ecwatermark.sim"):
+        traces = run_batch(scenario, seeds)
+    deferrals = [rec for rec in caplog.records if "deferred" in rec.message]
+    assert len(deferrals) == (case == "replay_deferred")
+    spec = scenario.detector.threshold
+    thr = spec.value if spec.mode == "fixed" else oracle_threshold(scenario.without_attack())
+    for seed, trace in zip(seeds, traces, strict=True):
+        _assert_same_run(trace, oracle_run(scenario, seed=seed, threshold=thr))
+    if case == "threshold_trigger":
+        assert len({tuple(t.trigger_times_generator) for t in traces}) > 1
+
+
+def test_horizon_override_needs_a_threshold():
+    scenario = _scenario("nominal", 300, detector__threshold=_CALIBRATED)
+    with pytest.raises(ValueError, match="explicit threshold"):
+        run_batch(scenario, [5], horizon=200)
+    assert len(run_scenario(scenario, horizon=200, threshold=0.2)) == 200
+    assert len(run_scenario(scenario, horizon=300)) == 300
+    fixed = _scenario("nominal", 300, detector__threshold={"mode": "fixed", "value": 0.2})
+    assert len(run_scenario(fixed, horizon=200)) == 200
 
 
 def test_non_finite_watermark_input_matches_oracle():
