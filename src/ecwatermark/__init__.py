@@ -29,7 +29,6 @@ from .sim import (
     WatermarkSetup,
     apply_attack,
     calibrate_threshold,
-    resolve_threshold,
     run_batch,
     run_scenario,
 )
@@ -47,9 +46,7 @@ from .switching import (
     validate_theta,
 )
 from .watermark import (
-    PeriodicTrigger,
     StabilityReport,
-    ThresholdTrigger,
     WatermarkUnit,
     apply_switch,
     check_stability,

@@ -193,18 +193,20 @@ class Curve:
         """Index into affine_points() of the point nearest to (x, y).
 
         Distances are float64 squared Euclidean distances, computed as
-        dx*dx + dy*dy for every point at once. Ties resolve to the
-        lexicographically smallest point: the point list is sorted and
-        argmin returns the first minimum. This is the single projection
-        routine shared by the switching map and the partition export, so the
-        two can never disagree. Raises InputError when no distance is
-        finite: a NaN or infinite coordinate, or one so large that every
-        squared distance overflows.
+        dx*dx + dy*dy for every point at once, in place in two temporaries.
+        Ties resolve to the lexicographically smallest point: the point list
+        is sorted and argmin returns the first minimum. This is the single
+        projection routine shared by the switching map and the partition
+        export, so the two can never disagree. Raises InputError when no
+        distance is finite: a NaN or infinite coordinate, or one so large that
+        every squared distance overflows.
         """
         self.affine_points()
-        dx = self._xs - x
+        d = self._xs - x
+        d *= d
         dy = self._ys - y
-        d = dx * dx + dy * dy
+        dy *= dy
+        d += dy
         i = int(d.argmin())
         if not math.isfinite(d[i]):
             raise InputError(f"cannot project ({x!r}, {y!r}) onto {self!r}")

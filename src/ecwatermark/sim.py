@@ -36,13 +36,13 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, InputError, ParameterError
-from .switching import FirParams, SwitchingConfig, _integer, _number, _numbers, sigma
-from .watermark import PeriodicTrigger, ThresholdTrigger, admissible_taps, fir_step
+from .switching import SwitchingConfig, _integer, _number, _numbers, sigma
+from .watermark import admissible_taps, fir_step
 
 log = logging.getLogger(__name__)
 
@@ -81,7 +81,6 @@ __all__ = [
     "apply_attack",
     "run_scenario",
     "run_batch",
-    "resolve_threshold",
     "calibrate_threshold",
 ]
 
@@ -235,6 +234,9 @@ class ThresholdSpec:
             raise ConfigError("quantile must lie in (0, 1]", path=f"{path}.quantile")
         if spec.safety <= 0:
             raise ConfigError("safety factor must be positive", path=f"{path}.safety")
+        for name in ("value", "floor"):
+            if getattr(spec, name) < 0:
+                raise ConfigError(f"{name} must be non-negative", path=f"{path}.{name}")
         return spec
 
 @dataclass
@@ -346,7 +348,7 @@ class WatermarkSetup:
     trigger: str = "periodic"  # periodic | threshold | none
     period: int = 50
     bound: float = 0.0
-    theta0: FirParams | None = None
+    theta0: tuple[float, ...] | None = None
 
     @classmethod
     def from_dict(cls, d, path="watermark") -> "WatermarkSetup | None":
@@ -375,9 +377,8 @@ class WatermarkSetup:
         if theta0 == "auto" or theta0 is None:
             theta0 = None
         elif isinstance(theta0, list) and len(theta0) == config.n_h + 1:
-            theta0 = FirParams(_numbers(theta0, f"{path}.theta0"))
             try:
-                admissible_taps(theta0)
+                theta0 = admissible_taps(_numbers(theta0, f"{path}.theta0"))
             except ParameterError as exc:
                 raise ConfigError(str(exc), path=f"{path}.theta0") from exc
         else:
@@ -385,14 +386,17 @@ class WatermarkSetup:
                               path=f"{path}.theta0")
         return cls(config=config, trigger=trigger, period=period, bound=bound, theta0=theta0)
 
-    def make_trigger(self):
+    def fires(self, k: int, signal) -> bool:
+        """Whether the trigger fires at step k on `signal`: every `period`
+        steps from k = period on, on the open half-line signal > bound, or
+        never. An (R, 1, 1) signal gives one bool per row for 'threshold'."""
         if self.trigger == "periodic":
-            return PeriodicTrigger(self.period)
+            return k > 0 and k % self.period == 0
         if self.trigger == "threshold":
-            return ThresholdTrigger(self.bound)
-        return None
+            return signal > self.bound
+        return False
 
-    def initial_theta(self) -> FirParams:
+    def initial_theta(self):
         if self.theta0 is not None:
             return self.theta0
         return sigma(0.0, self.config)
@@ -406,8 +410,8 @@ class Scenario:
     (and so `load`), with the secret scalar `watermark.config.l` replaced by
     "redacted"; runs echo it to `trace_meta.json`. It is None for scenarios
     built with `from_dict` or in code, and for those derived with
-    `dataclasses.replace` or `without_attack`: an `init=False` field is not
-    copied, so a derived scenario never echoes a file it no longer matches.
+    `dataclasses.replace`: an `init=False` field is not copied, so a derived
+    scenario never echoes a file it no longer matches.
     """
 
     plant: PlantModel
@@ -488,9 +492,6 @@ class Scenario:
     def load(cls, filename) -> "Scenario":
         with open(filename, "r", encoding="utf-8") as fh:
             return cls.from_json(fh.read(), path=str(filename))
-
-    def without_attack(self) -> "Scenario":
-        return replace(self, attack=AttackSpec())
 
 
 @dataclass
@@ -631,15 +632,6 @@ def calibrate_threshold(scenario: Scenario) -> float:
     return _lockstep(scenario, [], scenario.horizon, calibrate=True)[-1]
 
 
-def resolve_threshold(scenario: Scenario) -> float:
-    """The constant detector threshold of a scenario: the fixed spec value, or
-    a calibration (see `calibrate_threshold`) over its attack-free variant."""
-    spec = scenario.detector.threshold
-    if spec.mode == "fixed":
-        return float(spec.value)
-    return calibrate_threshold(scenario.without_attack())
-
-
 def run_scenario(scenario: Scenario, *, horizon: int | None = None,
                  seed: int | None = None, threshold: float | None = None) -> SimTrace:
     """Execute one closed-loop run (the scenario's seed unless `seed` is
@@ -754,8 +746,8 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
     tap_record = [[] for _ in all_seeds]
     times_w, times_q = [[] for _ in all_seeds], [[] for _ in all_seeds]
 
-    # without watermark there is no trigger, so no switch is ever pending
-    trigger = None if wm is None else wm.make_trigger()
+    # without watermark or with trigger "none", no switch is ever pending
+    triggered = wm is not None and wm.trigger != "none"
     if wm is not None:
         theta = admissible_taps(wm.initial_theta())
         taps_w, taps_q = [theta] * n_rows, [theta] * n_rows
@@ -833,9 +825,9 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
                 _check_step(k, () if wm is None else (y_p, y_wt), (x_p, x_c, x_r))
 
             # 6. triggers for the next step, keyed on this sample's signals
-            if trigger is not None:
+            if triggered:
                 for pend, times, signal in ((pend_w, times_w, y_p), (pend_q, times_q, y_q)):
-                    fired = trigger.fires(k, signal)  # one bool for all rows, or one per row
+                    fired = wm.fires(k, signal)  # one bool for all rows, or one per row
                     if fired is not False and np.any(fired):
                         for i in np.flatnonzero(np.broadcast_to(fired, signal.shape)):
                             times[i].append(k)

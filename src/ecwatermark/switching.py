@@ -66,14 +66,6 @@ class FirParams:
             raise ValueError("taps must be finite")
         object.__setattr__(self, "taps", taps)
 
-    @property
-    def b0(self) -> float:
-        return self.taps[0]
-
-    @property
-    def order(self) -> int:
-        return len(self.taps) - 1
-
     def __len__(self):
         return len(self.taps)
 
@@ -390,17 +382,10 @@ class SwitchingConfig:
             raise ConfigError(f"invalid JSON: {exc}", path=path) from exc
         return cls.from_dict(data, path=path)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     @classmethod
     def load(cls, filename) -> "SwitchingConfig":
         with open(filename, "r", encoding="utf-8") as fh:
             return cls.from_json(fh.read(), path=str(filename))
-
-    def save(self, filename) -> None:
-        with open(filename, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json() + "\n")
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,6 @@ from .switching import validate_theta
 __all__ = [
     "WatermarkUnit",
     "StabilityReport",
-    "PeriodicTrigger",
-    "ThresholdTrigger",
     "make_pair",
     "apply_switch",
     "check_stability",
@@ -133,38 +131,21 @@ class WatermarkUnit:
 
     ROLES = ("generator", "remover")
 
-    def __init__(self, role: str, params, state=None):
+    def __init__(self, role: str, params):
         if role not in self.ROLES:
             raise ValueError(f"role must be one of {self.ROLES}")
         self.role = role
         self.taps = admissible_taps(params)
-        self.reset(state)
+        self._register = (0.0,) * (len(self.taps) - 1)
 
     @property
     def state(self) -> np.ndarray:
         """Shift register, most recent entry first."""
         return np.array(self._register)
 
-    @property
-    def matrices(self):
-        if self.role == "generator":
-            return generator_matrices(self.taps)
-        return remover_matrices(self.taps)
-
     def set_params(self, params) -> None:
         """Adopt new taps; the shift register is kept in place (identity jump)."""
         self.taps = admissible_taps(params, len(self.taps))
-
-    def reset(self, state=None) -> None:
-        """Zero the shift register, or load `state` (most recent entry first)."""
-        n = len(self.taps) - 1
-        if state is None:
-            self._register = (0.0,) * n
-        else:
-            reg = tuple(float(v) for v in state)
-            if len(reg) != n:
-                raise ValueError(f"state must have length {n}")
-            self._register = reg
 
     def step(self, value: float) -> float:
         """Advance one sample: the generator modulates its input, the remover
@@ -188,28 +169,3 @@ def apply_switch(generator: WatermarkUnit, remover: WatermarkUnit, theta_new) ->
     inadmissible taps change neither unit."""
     generator.set_params(theta_new)
     remover.set_params(theta_new)
-
-
-@dataclass(frozen=True)
-class PeriodicTrigger:
-    """Time-driven trigger firing every `period` samples (not at k = 0)."""
-
-    period: int
-
-    def __post_init__(self):
-        if not isinstance(self.period, int) or self.period < 1:
-            raise ValueError("period must be a positive integer")
-
-    def fires(self, k: int, signal: float) -> bool:
-        return k > 0 and k % self.period == 0
-
-
-@dataclass(frozen=True)
-class ThresholdTrigger:
-    """Signal-driven trigger with the open convex set (bound, inf)."""
-
-    bound: float
-
-    def fires(self, k: int, signal: float) -> bool:
-        return signal > self.bound
-

@@ -8,6 +8,7 @@ bit; `oracle_threshold` is the matching calibration, one run at a time.
 
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -15,11 +16,11 @@ from ecwatermark.errors import DivergenceError
 from ecwatermark.sim import (
     STATE_OVERFLOW,
     STATE_OVERFLOW_SQ,
+    AttackSpec,
     Scenario,
     SimTrace,
     _noise_chunks,
     apply_attack,
-    resolve_threshold,
 )
 from ecwatermark.switching import sigma
 from ecwatermark.watermark import make_pair
@@ -28,17 +29,18 @@ log = logging.getLogger("ecwatermark.sim")
 
 
 class SwitchProtocol:
-    """Owns one unit's trigger rule and the record of its trigger times."""
+    """Owns one unit's trigger rule, that of a `WatermarkSetup` (None never
+    fires), and the record of its trigger times."""
 
-    def __init__(self, trigger=None):
-        self.trigger = trigger
+    def __init__(self, setup=None):
+        self.setup = setup
         self.switch_times: list[int] = []
 
     def check(self, k: int, signal: float) -> bool:
         """Evaluate the trigger at time k; record and report a firing."""
-        if self.trigger is None:
+        if self.setup is None:
             return False
-        if self.trigger.fires(k, signal):
+        if self.setup.fires(k, signal):
             self.switch_times.append(k)
             return True
         return False
@@ -59,7 +61,13 @@ def oracle_run(scenario: Scenario, *, horizon: int | None = None,
     signals: the reference every row of a lockstep batch must equal."""
     horizon = scenario.horizon if horizon is None else int(horizon)
     seed = scenario.seed if seed is None else seed
-    thr = resolve_threshold(scenario) if threshold is None else float(threshold)
+    spec = scenario.detector.threshold
+    if threshold is not None:
+        thr = float(threshold)
+    elif spec.mode == "fixed":
+        thr = spec.value
+    else:
+        thr = oracle_threshold(replace(scenario, attack=AttackSpec()))
 
     plant, ctrl, det = scenario.plant, scenario.controller, scenario.detector
     wm, attack = scenario.watermark, scenario.attack
@@ -77,8 +85,7 @@ def oracle_run(scenario: Scenario, *, horizon: int | None = None,
     k_r_col = det.K[:, 0]
 
     # without watermark the protocols have no trigger, so no switch is ever pending
-    trigger = None if wm is None else wm.make_trigger()
-    proto_w, proto_q = SwitchProtocol(trigger), SwitchProtocol(trigger)
+    proto_w, proto_q = SwitchProtocol(wm), SwitchProtocol(wm)
     tap_record = []
     if wm is not None:
         generator, remover = make_pair(wm.initial_theta())

@@ -266,6 +266,9 @@ def test_sim_io_error_exit_code(tmp_path, capsys):
     ("watermark.theta0", [0.0, 0.0, 0.0]),
     ("watermark.theta0", [1.0, 1.5, 0.0]),
     ("watermark.theta0", [1e-320, 0.0, 0.0]),
+    ("detector.threshold.value", -1.0),
+    ("detector.threshold.floor", -1e-6),
+    ("watermark.protocol.period", 0),
 ])
 def test_sim_bad_scalar_reports_field(tmp_path, capsys, field, value):
     path = _write_short_scenario(tmp_path)

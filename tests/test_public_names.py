@@ -1,0 +1,40 @@
+"""Every public name the package declares resolves: a deleted function left
+behind in an `__all__` list or in the package's own imports fails here."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import ecwatermark
+
+# the modules that declare their public names
+MODULES = [name for name in sorted(f"ecwatermark.{m.name}"
+                                   for m in pkgutil.iter_modules(ecwatermark.__path__))
+           if hasattr(importlib.import_module(name), "__all__")]
+
+
+def _init_imports():
+    """(module, name) for every `from .module import name` in __init__.py."""
+    tree = ast.parse(Path(ecwatermark.__file__).read_text(encoding="utf-8"))
+    return [(f"ecwatermark.{node.module}", alias.name)
+            for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_exist(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
+
+
+def test_package_imports_exist():
+    imports = _init_imports()
+    assert len(imports) > 30
+    missing = [(module, name) for module, name in imports
+               if not hasattr(importlib.import_module(module), name)
+               or not hasattr(ecwatermark, name)]
+    assert missing == []

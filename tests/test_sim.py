@@ -30,7 +30,7 @@ from ecwatermark import (
     shipped,
 )
 from ecwatermark import sim
-from ecwatermark.sim import _noise_chunks, resolve_threshold
+from ecwatermark.sim import _noise_chunks
 from conftest import JSON_LIKE, leaf_paths, small_scenario_dict
 from sim_oracle import oracle_run, oracle_threshold
 
@@ -160,7 +160,7 @@ def test_only_parsed_scenarios_have_a_source():
     assert loaded.watermark.config.l == 7
     data = json.loads(shipped.data_text("scenario_replay.json"))
     derived = (Scenario.from_dict(data), dataclasses.replace(loaded, seed=3),
-               loaded.without_attack())
+               dataclasses.replace(loaded, attack=AttackSpec()))
     assert all(sc.source is None for sc in derived)
     assert run_scenario(derived[2], horizon=5, threshold=1.0).metadata["scenario"] is None
 
@@ -691,7 +691,8 @@ def test_one_batch_equals_two_pass(case, caplog):
     deferrals = [rec for rec in caplog.records if "deferred" in rec.message]
     assert len(deferrals) == (case == "replay_deferred")
     spec = scenario.detector.threshold
-    thr = spec.value if spec.mode == "fixed" else oracle_threshold(scenario.without_attack())
+    attack_free = dataclasses.replace(scenario, attack=AttackSpec())
+    thr = spec.value if spec.mode == "fixed" else oracle_threshold(attack_free)
     for seed, trace in zip(seeds, traces, strict=True):
         _assert_same_run(trace, oracle_run(scenario, seed=seed, threshold=thr))
     if case == "threshold_trigger":
@@ -785,7 +786,8 @@ _GOLDEN = {
 @functools.cache
 def _shipped_with_threshold(name):
     scenario = shipped.load_scenario(name)
-    return scenario, resolve_threshold(scenario)
+    assert scenario.detector.threshold.mode == "calibrate"  # as in every shipped scenario
+    return scenario, calibrate_threshold(dataclasses.replace(scenario, attack=AttackSpec()))
 
 
 @pytest.mark.parametrize("name,seed", list(_GOLDEN))

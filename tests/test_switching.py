@@ -137,13 +137,13 @@ def test_eta2_passthrough_when_tail_zero():
 
 
 def test_eta2_floor_rule():
-    assert eta2((0.0, 5.0, 1.0), floor=0.1, slope=1.0, margin=0.1).b0 == 0.1
-    assert eta2((-0.01, 5.0, 1.0), floor=0.1, slope=1.0, margin=0.1).b0 == -0.1
+    assert eta2((0.0, 5.0, 1.0), floor=0.1, slope=1.0, margin=0.1).taps[0] == 0.1
+    assert eta2((-0.01, 5.0, 1.0), floor=0.1, slope=1.0, margin=0.1).taps[0] == -0.1
 
 
 def test_eta2_tail_radius_is_exact_margin():
     theta = eta2((1.4, -2.0, 3.0, -0.5), floor=1.0, slope=1.0, margin=0.1)
-    total = sum(abs(v / theta.b0) for v in theta.taps[2:])
+    total = sum(abs(v / theta.taps[0]) for v in theta.taps[2:])
     # |b1| = 2/3 leaves headroom 1/3 > margin, so the margin applies unclamped
     expected = 1.0 - abs(theta.taps[1]) - 0.1
     assert total == pytest.approx(expected, rel=1e-12)
@@ -187,9 +187,9 @@ def test_validate_theta_needs_two_taps():
 
 
 def test_firparams_carrier():
-    theta = FirParams((2.0, 0.75, 0.3))
-    assert theta.b0 == 2.0
-    assert theta.order == 2
+    theta = FirParams((2, 0.75, 0.3))
+    assert theta.taps == (2.0, 0.75, 0.3) and type(theta.taps[0]) is float
+    assert len(theta) == 3 and theta[0] == 2.0
     assert list(theta) == [2.0, 0.75, 0.3]
     with pytest.raises(ValueError):
         FirParams((math.nan, 1.0))
@@ -245,7 +245,7 @@ def test_sigma_periodic_in_scalar(demo_cfg):
 
 
 def test_sigma_deterministic_across_instances():
-    text = make_config().to_json()
+    text = json.dumps(make_config().to_dict())
     cfg_a = SwitchingConfig.from_json(text)
     cfg_b = SwitchingConfig.from_json(text)
     for y in [x * 0.37 for x in range(-50, 50)]:
@@ -321,7 +321,7 @@ def test_sigma_equals_staged_sigma_on_miss_and_hit():
 
 
 def test_configs_from_one_text_hold_separate_tables():
-    text = make_config().to_json()
+    text = json.dumps(make_config().to_dict())
     cfg_a = SwitchingConfig.from_json(text)
     cfg_b = SwitchingConfig.from_json(text)
     sigma(1.0, cfg_a)
@@ -330,7 +330,7 @@ def test_configs_from_one_text_hold_separate_tables():
     assert np.isnan(cfg_b.tap_table).all()
     # the table is no field: equality, hash and serialization ignore it
     assert cfg_a == cfg_b and hash(cfg_a) == hash(cfg_b)
-    assert cfg_a.to_json() == text
+    assert cfg_a.to_dict() == json.loads(text)
 
 
 def test_failed_derivation_is_not_cached():
@@ -362,7 +362,7 @@ def test_sigma_rejects_non_finite_sample_before_the_table(y):
 
 def test_config_round_trip():
     cfg = make_config()
-    clone = SwitchingConfig.from_json(cfg.to_json())
+    clone = SwitchingConfig.from_json(json.dumps(cfg.to_dict()))
     assert clone.to_dict() == cfg.to_dict()
 
 
@@ -407,7 +407,7 @@ def test_config_defaults_are_quiet():
 def test_config_file_round_trip(tmp_path):
     cfg = make_config()
     path = tmp_path / "cfg.json"
-    cfg.save(path)
+    path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
     assert SwitchingConfig.load(path).to_dict() == cfg.to_dict()
 
 

@@ -9,8 +9,7 @@ from ecwatermark import (
     FirParams,
     InputError,
     ParameterError,
-    PeriodicTrigger,
-    ThresholdTrigger,
+    WatermarkSetup,
     apply_switch,
     check_stability,
     eta2,
@@ -121,7 +120,7 @@ def test_make_pair_rejects_inadmissible():
 
 def test_make_pair_example_dq():
     _, rem = make_pair((2.0, 0.75, 0.3))
-    assert rem.matrices[3][0, 0] == 0.5
+    assert remover_matrices(rem.taps)[3][0, 0] == 0.5
 
 
 def test_identity_taps_pass_through():
@@ -239,35 +238,31 @@ def test_mismatched_taps_break_reconstruction():
 
 # -- triggers ----------------------------------------------------------------------
 
-def test_periodic_trigger_pattern():
-    t = PeriodicTrigger(50)
+def test_periodic_trigger_pattern(demo_cfg):
+    t = WatermarkSetup(demo_cfg, "periodic", period=50)
     fired = [k for k in range(201) if t.fires(k, 0.0)]
     assert fired == [50, 100, 150, 200]
 
 
-def test_periodic_trigger_rejects_bad_period():
-    with pytest.raises(ValueError):
-        PeriodicTrigger(0)
-
-
-def test_threshold_trigger_is_open_half_line():
-    t = ThresholdTrigger(1.0)
+def test_threshold_trigger_is_open_half_line(demo_cfg):
+    t = WatermarkSetup(demo_cfg, "threshold", bound=1.0)
     assert not t.fires(3, 1.0)
     assert t.fires(3, 1.0 + 1e-12)
     assert not t.fires(3, 0.0)
 
 
-def test_protocol_records_times():
-    proto = SwitchProtocol(PeriodicTrigger(10))
+def test_protocol_records_times(demo_cfg):
+    proto = SwitchProtocol(WatermarkSetup(demo_cfg, "periodic", period=10))
     for k in range(35):
         proto.check(k, 0.0)
     assert proto.switch_times == [10, 20, 30]
 
 
-def test_protocol_without_trigger_never_fires():
-    proto = SwitchProtocol(None)
-    assert not any(proto.check(k, 99.0) for k in range(5))
-    assert proto.switch_times == []
+def test_protocol_without_trigger_never_fires(demo_cfg):
+    for setup in (None, WatermarkSetup(demo_cfg, "none", period=1, bound=-math.inf)):
+        proto = SwitchProtocol(setup)
+        assert not any(proto.check(k, 99.0) for k in range(5))
+        assert proto.switch_times == []
 
 
 def test_subnormal_leading_tap_handled():
