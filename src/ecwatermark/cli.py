@@ -72,6 +72,14 @@ def halfwidth(text: str) -> float:
     return value
 
 
+def references(text: str) -> tuple[float, ...]:
+    """One or more comma-separated sweep references, each finite."""
+    refs = tuple(map(float, text.split(",")))
+    if not all(map(math.isfinite, refs)):
+        raise argparse.ArgumentTypeError(f"references must be finite, got {text}")
+    return refs
+
+
 def _point_json(p):
     return None if p.is_infinity else [p.x, p.y]
 
@@ -126,8 +134,7 @@ def _ref_label(r: float) -> str:
 
 def cmd_sweep(args) -> int:
     cfg = SwitchingConfig.load(args.config)
-    refs = tuple(float(v) for v in args.refs.split(","))
-    spec = SweepSpec(references=refs, n_realizations=args.n,
+    spec = SweepSpec(references=args.refs, n_realizations=args.n,
                      noise_halfwidth=args.halfwidth, seed=args.seed)
     results = sensitivity_sweep(cfg, spec)
     outdir = Path(args.out)
@@ -230,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sensitivity sweep histograms")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--refs", default="0,1,10,100", help="comma-separated references")
+    p.add_argument("--refs", type=references, default="0,1,10,100",
+                   help="comma-separated references")
     p.add_argument("--n", type=sample_count, default=500, help="realizations per reference")
     p.add_argument("--halfwidth", type=halfwidth, default=0.05, help="noise halfwidth")
     p.add_argument("--seed", type=seed, default=0)

@@ -5,13 +5,14 @@ modular inversion (pow(v, -1, s)) per operation is cheap, and the
 chord-and-tangent case analysis stays easy to audit. The identity is the
 point at infinity O. Points are enumerated from one table of square roots
 mod s; a point's order comes from the factorized group order; the nearest
-affine point to a real query is one vectorized float64 search over the
-enumerated points.
+affine point to a real query is an exact float64 search over one band of
+x-columns around the query, with the whole curve as the fallback.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,8 +69,10 @@ class Curve:
         self.b = b
         self.s = s
         self._affine: list[Point] | None = None
-        self._xs: np.ndarray | None = None
-        self._ys: np.ndarray | None = None
+        # projection tables, filled with the enumeration: see nearest_index
+        self._width = 0
+        self._buckets: list[tuple] = []
+        self._whole: tuple = ()
 
     def __repr__(self) -> str:
         return f"Curve(a={self.a}, b={self.b}, s={self.s})"
@@ -154,10 +157,34 @@ class Curve:
             for y in range(s):
                 roots[y * y % s].append(y)
             pts = [Point(x, y) for x in range(s) for y in roots[(x * x * x + a * x + b) % s]]
-            self._xs = np.array([p.x for p in pts], dtype=np.float64)
-            self._ys = np.array([p.y for p in pts], dtype=np.float64)
+            self._build_buckets(pts)
             self._affine = pts
         return self._affine
+
+    def _build_buckets(self, pts: list[Point]) -> None:
+        """Cut the columns [0, s) into buckets of W columns for nearest_index.
+
+        Bucket b holds views of the points in columns [(b-1)W, (b+2)W): one
+        contiguous index range [lo, hi), since the points are sorted by x.
+        W grows with the mean point spacing s/sqrt(N), so a query's nearest
+        point is almost always within W columns. The floor of 32 is for small
+        fields, where numpy's per-call cost, not the scan, sets the time: a
+        field below 32 is one bucket.
+        """
+        s, n = self.s, len(pts)
+        cols = [p.x for p in pts]
+        xs = np.array(cols, dtype=np.float64)
+        ys = np.array([p.y for p in pts], dtype=np.float64)
+        w = max(32, math.ceil(1.3 * s / math.sqrt(n)))
+        self._width = w
+        self._whole = (xs, ys, 0, math.inf)
+        # edges[j] is the first index in column (j-1)W or later; bucket b
+        # spans edges[b] to edges[b+3]
+        edges = [bisect_left(cols, j * w) for j in range(-1, -(-s // w) + 2)]
+        self._buckets = [
+            (xs[lo:hi], ys[lo:hi], lo, math.inf if lo == 0 and hi == n else float(w * w))
+            for lo, hi in zip(edges, edges[3:])
+        ]
 
     def points(self) -> list[Point]:
         """The full group: O first, then affine points sorted by (x, y)."""
@@ -193,24 +220,42 @@ class Curve:
         """Index into affine_points() of the point nearest to (x, y).
 
         Distances are float64 squared Euclidean distances, computed as
-        dx*dx + dy*dy for every point at once, in place in two temporaries.
-        Ties resolve to the lexicographically smallest point: the point list
-        is sorted and argmin returns the first minimum. This is the single
-        projection routine shared by the switching map and the partition
-        export, so the two can never disagree. Raises InputError when no
-        distance is finite: a NaN or infinite coordinate, or one so large that
-        every squared distance overflows.
+        dx*dx + dy*dy, in place in two temporaries. Ties resolve to the
+        lexicographically smallest point: the point list is sorted and
+        argmin returns the first minimum. This is the single projection
+        routine shared by the switching map and the partition export, so the
+        two can never disagree.
+
+        A query with 0 <= x < s scans only its column bucket: the points in
+        the columns within W of the query's bucket of W columns. Every point
+        outside that band lies at least W columns away, so, rounding being
+        monotone, its float distance is at least W*W. A band minimum below
+        W*W therefore beats every outside point, and the answer equals the
+        whole-curve scan's, bit for bit and tie for tie. Otherwise (the
+        nearest point lies W or more columns away, or x is outside [0, s))
+        the same operations run over the whole curve. Raises InputError when
+        no distance is finite: a NaN or infinite coordinate, or one so large
+        that every squared distance overflows.
         """
-        self.affine_points()
-        d = self._xs - x
-        d *= d
-        dy = self._ys - y
-        dy *= dy
-        d += dy
-        i = int(d.argmin())
-        if not math.isfinite(d[i]):
-            raise InputError(f"cannot project ({x!r}, {y!r}) onto {self!r}")
-        return i
+        if self._affine is None:
+            self.affine_points()
+        if 0 <= x < self.s:
+            xs, ys, lo, bound = self._buckets[int(x) // self._width]
+        else:
+            xs, ys, lo, bound = self._whole
+        while True:
+            d = xs - x
+            d *= d
+            dy = ys - y
+            dy *= dy
+            d += dy
+            i = int(d.argmin())
+            if d[i] < bound:
+                return lo + i
+            if bound == math.inf:
+                # the scan covered the whole curve: no distance is finite
+                raise InputError(f"cannot project ({x!r}, {y!r}) onto {self!r}")
+            xs, ys, lo, bound = self._whole
 
     def nearest_affine(self, x: float, y: float) -> Point:
         """Affine point minimizing squared Euclidean distance to (x, y); see

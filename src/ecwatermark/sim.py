@@ -68,6 +68,11 @@ MAX_CALIBRATION_STEPS = 10**7
 # whatever the horizon, the number of runs or the plant's order.
 NOISE_BLOCK_VALUES = 1 << 18
 
+# Rows SimTrace.to_csv converts to Python values at once: enough to spread
+# the per-block numpy calls, few enough that a 10^6-step trace is written
+# holding about 80 KB of them, not 300 MB.
+CSV_BLOCK_ROWS = 256
+
 __all__ = [
     "NoiseSpec",
     "PlantModel",
@@ -553,17 +558,15 @@ class SimTrace:
         }
 
     def to_csv(self, filename) -> None:
+        columns = (self.k, self.y_p, self.y_w, self.y_w_tilde, self.y_q, self.u,
+                   self.y_r, self.y_r_bar, self.alarm, self.switch)
         with open(filename, "w", encoding="utf-8") as fh:
             fh.write(self.CSV_HEADER + "\n")
-            for i in range(len(self)):
-                fields = [str(int(self.k[i]))]
-                fields += [
-                    repr(float(column[i]))
-                    for column in (self.y_p, self.y_w, self.y_w_tilde,
-                                   self.y_q, self.u, self.y_r, self.y_r_bar)
-                ]
-                fields += [str(int(self.alarm[i])), str(int(self.switch[i]))]
-                fh.write(",".join(fields) + "\n")
+            for lo in range(0, len(self), CSV_BLOCK_ROWS):
+                k, *floats, alarm, switch = (c[lo:lo + CSV_BLOCK_ROWS].tolist() for c in columns)
+                fh.writelines(",".join(row) + "\n" for row in zip(
+                    map(str, k), *(map(repr, f) for f in floats),
+                    map(str, map(int, alarm)), map(str, map(int, switch))))
 
     def write_outputs(self, outdir) -> dict:
         """Write trace.csv, summary.json and trace_meta.json, the metadata

@@ -59,10 +59,10 @@ class FirParams:
     taps: tuple[float, ...]
 
     def __post_init__(self):
-        taps = tuple(float(v) for v in self.taps)
+        taps = tuple(map(float, self.taps))
         if len(taps) < 1:
             raise ValueError("need at least the leading tap b0")
-        if not all(math.isfinite(v) for v in taps):
+        if not all(map(math.isfinite, taps)):
             raise ValueError("taps must be finite")
         object.__setattr__(self, "taps", taps)
 
@@ -443,4 +443,4 @@ def sigma(y_prev: float, cfg: SwitchingConfig) -> FirParams:
     kept in `cfg.tap_table`.
     """
     x, y = alpha1(y_prev, cfg.alpha_x, cfg.alpha_y, cfg.curve.s)
-    return FirParams(tuple(_table_row(cfg, cfg.curve.nearest_index(x, y)).tolist()))
+    return FirParams(_table_row(cfg, cfg.curve.nearest_index(x, y)).tolist())

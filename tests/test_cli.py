@@ -328,6 +328,11 @@ def test_negative_seed_rejected_at_parsing(tmp_path, capsys, demo_config_file, c
     ["voronoi", "--grid", "0"],
     ["sweep", "--n", "1000001"],
     ["voronoi", "--grid", "1001"],
+    ["sweep", "--refs", "1,,2"],
+    ["sweep", "--refs", "abc"],
+    ["sweep", "--refs", ""],
+    ["sweep", "--refs", "nan"],
+    ["sweep", "--refs", "1e400"],
 ])
 def test_sweep_and_grid_sizes_checked_at_parsing(tmp_path, capsys, demo_config_file, argv):
     command, option, _ = argv

@@ -255,8 +255,13 @@ def test_nearest_affine_exact_hit(desk_curve):
 
 
 @pytest.fixture(scope="module")
-def oracle_curves(desk_curve):
-    return [desk_curve, Curve(2, 3, 307), Curve(2, 3, 9973)]
+def large_curve():
+    return Curve(2, 3, 9973)
+
+
+@pytest.fixture(scope="module")
+def oracle_curves(desk_curve, large_curve):
+    return [desk_curve, Curve(2, 3, 307), large_curve]
 
 
 def test_nearest_affine_scan_oracle(oracle_curves):
@@ -297,3 +302,93 @@ def test_nearest_affine_rejects_unprojectable_query(desk_curve, x, y):
 def test_nearest_affine_tie_breaks_lexicographically(desk_curve):
     # (0, 8.5) is equidistant from (0, 6) and (0, 11)
     assert desk_curve.nearest_affine(0.0, 8.5) == Point(0, 6)
+
+
+# -- nearest point: the column buckets at s = 9973 ----------------------------
+
+def _band_holds(curve, x, p):
+    """True iff p lies in the band of columns that a query at x scans first."""
+    w = curve._width
+    b = int(x) // w
+    return (b - 1) * w <= p.x < (b + 2) * w
+
+
+def test_bucket_width_follows_point_spacing(desk_curve, large_curve):
+    large_curve.affine_points()
+    w = large_curve._width
+    assert w == math.ceil(1.3 * 9973 / math.sqrt(9885)) == 131
+    assert len(large_curve._buckets) == math.ceil(9973 / w)
+    desk_curve.affine_points()
+    assert len(desk_curve._buckets) == 1
+
+
+def test_nearest_affine_scan_oracle_past_the_band(large_curve):
+    # A query falls back to the whole curve exactly when its nearest point
+    # lies W or more away: in the curve's largest gaps. A coarse grid finds
+    # them. The filter reads the returned point, whose distance is never
+    # below the true minimum, so it misses no grid query that falls back.
+    pts = large_curve.affine_points()
+    w = large_curve._width
+    band_wins, outside_wins = [], []
+    for gx in range(20, 9973, 40):
+        for gy in range(20, 9973, 40):
+            p = pts[large_curve.nearest_index(gx, gy)]
+            if (p.x - gx) ** 2 + (p.y - gy) ** 2 >= w * w:
+                wins = band_wins if _band_holds(large_curve, gx, p) else outside_wins
+                wins.append((gx, gy))
+    assert len(band_wins) > 100
+    # here the winner lies outside the band, W or more columns away
+    assert len(outside_wins) >= 5
+    for x, y in outside_wins + random.Random(9973).sample(band_wins, 40):
+        assert large_curve.nearest_affine(x, y) == nearest_by_scan(large_curve, x, y)
+
+
+def test_nearest_affine_scan_oracle_on_bucket_edges(large_curve):
+    w = large_curve._width
+    rng = random.Random(131)
+    for e in range(0, 9973 + w, w):
+        for x in (e - 1.0, e - 0.5, e - 1e-9, float(e), e + 0.5):
+            y = rng.uniform(0, 9973)
+            assert large_curve.nearest_affine(x, y) == nearest_by_scan(large_curve, x, y)
+
+
+def test_nearest_affine_scan_oracle_on_large_voronoi_grid(large_curve):
+    for gx, gy, owner in voronoi_rows(large_curve, 50):
+        assert owner == nearest_by_scan(large_curve, gx, gy)
+
+
+def test_nearest_affine_scan_oracle_on_ties_across_bucket_edges(large_curve):
+    # midpoints of a point just left of a bucket edge and one just right
+    pts = large_curve.affine_points()
+    w = large_curve._width
+    checked = 0
+    for e in range(w, 9973, w):
+        left = [p for p in pts if e - 2 <= p.x < e]
+        right = [p for p in pts if e <= p.x < e + 2]
+        for p in left:
+            for q in right:
+                x, y = (p.x + q.x) / 2, (p.y + q.y) / 2
+                assert large_curve.nearest_affine(x, y) == nearest_by_scan(large_curve, x, y)
+                checked += 1
+    assert checked > 200
+
+
+def test_nearest_affine_scan_oracle_off_the_square(large_curve):
+    rng = random.Random(7)
+    queries = [(-0.5, 10.0), (-1e-9, 4000.0), (-500.0, 9000.0), (9973.0, 5.0),
+               (9973.5, 9972.5), (12000.0, -300.0), (-0.0, -0.0), (-1e6, 1e6)]
+    for _ in range(20):
+        queries.append((rng.uniform(0, 9973), rng.choice([-1.0, -250.5, 9973.0, 10400.0])))
+        queries.append((rng.choice([-3.5, 9973.25, 20000.0]), rng.uniform(-100, 10100)))
+    for x, y in queries:
+        assert large_curve.nearest_affine(x, y) == nearest_by_scan(large_curve, x, y)
+
+
+@pytest.mark.parametrize("x, y", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                  (1.0, -math.inf), (1e200, 1.0), (1.0, 1e200)])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_nearest_affine_rejects_unprojectable_query_on_large_curve(large_curve, x, y):
+    with pytest.raises(InputError):
+        large_curve.nearest_affine(x, y)
+    with pytest.raises(InputError):
+        large_curve.nearest_index(x, y)
