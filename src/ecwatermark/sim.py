@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, InputError, ParameterError
-from .switching import SwitchingConfig, _integer, _number, _numbers, sigma
-from .watermark import admissible_taps, fir_step
+from .switching import SwitchingConfig, _integer, _number, _numbers, admissible_taps, sigma
+from .watermark import fir_step
 
 log = logging.getLogger(__name__)
 
@@ -482,7 +482,7 @@ class Scenario:
     def from_json(cls, text: str, path: str = "scenario") -> "Scenario":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
             raise ConfigError(f"invalid JSON: {exc}", path=path) from exc
         scenario = cls.from_dict(data, path=path)
         # the parsed object has no other holder, so it is kept without a copy
@@ -752,15 +752,13 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
     # without watermark or with trigger "none", no switch is ever pending
     triggered = wm is not None and wm.trigger != "none"
     if wm is not None:
-        theta = admissible_taps(wm.initial_theta())
-        taps_w, taps_q = [theta] * n_rows, [theta] * n_rows
+        theta = admissible_taps(wm.initial_theta(), wm.config.n_h + 1)
         # per-row taps as one (n_taps, R, 1, 1) table per endpoint; b_w[m] is tap m of every row
         table_w, table_q = (np.tile(np.array(theta)[:, None, None, None], (1, n_rows, 1, 1))
                             for _ in range(2))
         b_w, b_q = list(table_w), list(table_q)
         reg_w = reg_q = (np.zeros((n_rows, 1, 1)),) * (len(theta) - 1)
-        for record in tap_record:
-            record.append((0, theta, theta))
+        tap_record = [[(0, theta, theta)] for _ in all_seeds]
     pend_w, pend_q = {}, {}  # row index -> the signal its trigger fired on
     replay_deferred_logged = False
 
@@ -777,19 +775,20 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
         for j in range(rows):
             k = start + j
 
-            # 1. apply pending switches (between samples); sigma is a pure
-            # function of the sample, so each distinct key is derived once
+            # 1. apply pending switches (between samples); each distinct key is
+            # derived once, and sigma checked its taps when it stored them
             if pend_w or pend_q:
                 derived = {}
-                for pend, current, table in ((pend_w, taps_w, table_w), (pend_q, taps_q, table_q)):
+                for pend, table in ((pend_w, table_w), (pend_q, table_q)):
                     for i, signal in pend.items():
                         if signal not in derived:
-                            derived[signal] = admissible_taps(sigma(signal, wm.config), len(theta))
-                        current[i] = derived[signal]
-                        table[:, i, 0, 0] = current[i]
+                            derived[signal] = sigma(signal, wm.config).taps
+                        table[:, i, 0, 0] = derived[signal]
                 for i in sorted(pend_w.keys() | pend_q.keys()):
                     switch[k, i] = True
-                    tap_record[i].append((k, taps_w[i], taps_q[i]))
+                    _, held_w, held_q = tap_record[i][-1]  # the taps in force
+                    tap_record[i].append((k, derived[pend_w[i]] if i in pend_w else held_w,
+                                          derived[pend_q[i]] if i in pend_q else held_q))
                 pend_w, pend_q = {}, {}
 
             # 2. plant output

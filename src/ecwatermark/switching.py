@@ -11,10 +11,11 @@ One evaluation takes the last shared output sample through three stages:
    contractive tail), which keeps the inverse filter provably stable.
 
 Everything after the projection in stage 2 depends only on the nearest
-point and the configuration, so `sigma` runs the scalar multiple and stage 3
-once per point per configuration and keeps the taps in the configuration's
-tap table; `sigma_detail` runs every stage on each call and reports the
-intermediates.
+point and the configuration, so the map's image is one tap vector per affine
+point: `sigma` derives each point's taps once per configuration, keeps them
+in its tap table once `admissible_taps` passes them, and returns the stored
+object on every later hit; `sigma_detail` runs every stage on each call and
+reports the intermediates.
 
 Both endpoints evaluate this exact code path, in a fixed floating-point
 operation order, on identically configured values; equal inputs therefore
@@ -30,10 +31,8 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .curve import Curve, Point
-from .errors import CapacityError, ConfigError, ConfigurationWarning, InputError
+from .errors import CapacityError, ConfigError, ConfigurationWarning, InputError, ParameterError
 
 __all__ = [
     "FirParams",
@@ -50,7 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FirParams:
     """FIR tap vector (b0, ..., bn). A plain carrier: admissibility of the
     taps is checked by validate_theta, not at construction, so that
@@ -88,15 +87,17 @@ class ThetaValidation:
 
 
 def validate_theta(taps) -> ThetaValidation:
-    """Check the three admissibility conditions on a tap vector.
+    """Check the four admissibility conditions on a tap vector.
 
-    In order: b0 nonzero, |b1| strictly below 1, and the tail radius
-    sum_{i>=2} |b_i / b0| strictly below 1 - |b1|. The report names the
-    first condition that fails.
+    In order: every tap finite, b0 nonzero, |b1| strictly below 1, and the
+    tail radius sum_{i>=2} |b_i / b0| strictly below 1 - |b1|. The report
+    names the first condition that fails.
     """
     taps = tuple(float(v) for v in taps)
     if len(taps) < 2:
         raise ValueError("need at least taps b0 and b1")
+    if not all(map(math.isfinite, taps)):
+        return ThetaValidation(False, "taps must be finite")
     if taps[0] == 0.0:
         return ThetaValidation(False, "b0 must be nonzero")
     if abs(taps[1]) >= 1.0:
@@ -107,6 +108,20 @@ def validate_theta(taps) -> ThetaValidation:
     if total >= 1.0 - abs(taps[1]):
         return ThetaValidation(False, "sum(|b_i/b0|, i>=2) must stay below 1 - |b1|")
     return ThetaValidation(True)
+
+
+def admissible_taps(params, count: int | None = None) -> tuple[float, ...]:
+    """`params` as a tap tuple; ParameterError if the taps are inadmissible,
+    their inverse overflows, or (given `count`) their number differs."""
+    taps = tuple(map(float, params))
+    report = validate_theta(taps)
+    if not report:
+        raise ParameterError(f"inadmissible taps: {report.violation}")
+    if not math.isfinite(1.0 / taps[0]):
+        raise ParameterError("leading tap too small to invert in double precision")
+    if count is not None and len(taps) != count:
+        raise ParameterError(f"tap count changed from {count} to {len(taps)}")
+    return taps
 
 
 def _integer(value, path) -> int:
@@ -321,12 +336,12 @@ class SwitchingConfig:
             )
 
     @cached_property
-    def tap_table(self) -> np.ndarray:
+    def tap_table(self) -> list[FirParams | None]:
         """Taps of each affine point, by its index in `curve.affine_points()`:
-        a (number of affine points, n_h + 1) float64 array, filled by `sigma`
-        row by row on first use. A NaN row has not been derived yet. Not a
+        one slot per point, None until `sigma` derives and checks that
+        point's taps, then the `FirParams` every later hit returns. Not a
         field, so it takes no part in ==, hash or serialization."""
-        return np.full((len(self.curve.affine_points()), self.n_h + 1), np.nan)
+        return [None] * len(self.curve.affine_points())
 
     # -- serialization -----------------------------------------------------
 
@@ -378,7 +393,7 @@ class SwitchingConfig:
     def from_json(cls, text: str, path: str = "config") -> "SwitchingConfig":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
             raise ConfigError(f"invalid JSON: {exc}", path=path) from exc
         return cls.from_dict(data, path=path)
 
@@ -426,21 +441,19 @@ def sigma_detail(y_prev: float, cfg: SwitchingConfig) -> SwitchOutcome:
     return SwitchOutcome(scaled, p, *_derive(p, cfg))
 
 
-def _table_row(cfg: SwitchingConfig, i: int) -> np.ndarray:
-    """Row i of `cfg.tap_table`, derived first if it is still NaN. A
-    derivation that raises stores nothing, so the next call raises again."""
-    row = cfg.tap_table[i]
-    if math.isnan(row[0]):
-        row[:] = _derive(cfg.curve.affine_points()[i], cfg)[3].taps
-    return row
-
-
 def sigma(y_prev: float, cfg: SwitchingConfig) -> FirParams:
     """New tap vector from the previous shared output sample.
 
     Equal to `sigma_detail(y_prev, cfg).theta`, but the stages after the
-    projection run once per nearest point and configuration: their taps are
-    kept in `cfg.tap_table`.
+    projection run once per nearest point and configuration, and the taps
+    enter `cfg.tap_table` only once `admissible_taps` passes them. A
+    derivation or check that raises stores nothing, so it raises again.
     """
     x, y = alpha1(y_prev, cfg.alpha_x, cfg.alpha_y, cfg.curve.s)
-    return FirParams(_table_row(cfg, cfg.curve.nearest_index(x, y)).tolist())
+    i = cfg.curve.nearest_index(x, y)
+    theta = cfg.tap_table[i]
+    if theta is None:
+        theta = _derive(cfg.curve.affine_points()[i], cfg)[3]
+        admissible_taps(theta)
+        cfg.tap_table[i] = theta
+    return theta

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ParameterError
-from .switching import validate_theta
+from .switching import admissible_taps, validate_theta
 
 __all__ = [
     "WatermarkUnit",
@@ -86,25 +86,11 @@ class StabilityReport:
 def check_stability(theta) -> StabilityReport:
     taps = _taps(theta)
     tap_test = bool(validate_theta(taps)) and abs(taps[0]) >= 1.0
-    if taps[0] == 0.0 or not math.isfinite(1.0 / taps[0]):
+    if not all(map(math.isfinite, taps)) or taps[0] == 0.0 or not math.isfinite(1.0 / taps[0]):
         return StabilityReport(False, math.inf)
     Aq, _, _, _ = remover_matrices(taps)
     radius = float(np.abs(np.linalg.eigvals(Aq)).max()) if Aq.size else 0.0
     return StabilityReport(tap_test, radius)
-
-
-def admissible_taps(params, count: int | None = None) -> tuple[float, ...]:
-    """`params` as a tap tuple; ParameterError if the taps are inadmissible,
-    their inverse overflows, or (given `count`) their number differs."""
-    taps = _taps(params)
-    report = validate_theta(taps)
-    if not report:
-        raise ParameterError(f"inadmissible taps: {report.violation}")
-    if not math.isfinite(1.0 / taps[0]):
-        raise ParameterError("leading tap too small to invert in double precision")
-    if count is not None and len(taps) != count:
-        raise ParameterError(f"tap count changed from {count} to {len(taps)}")
-    return taps
 
 
 def fir_step(taps, register, value, generator: bool):

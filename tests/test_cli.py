@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ecwatermark import Scenario, shipped
+from ecwatermark import ConfigurationWarning, Scenario, shipped
 from ecwatermark.cli import build_parser, main
 from ecwatermark.sim import MAX_CALIBRATION_STEPS, MAX_HORIZON
 
@@ -290,6 +290,50 @@ def test_sim_calibration_work_capped_at_load(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["sim", "--scenario", str(path), "--out", str(out)]) == 2
     assert "detector.threshold.runs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# 5001 digits: past the 4300-digit limit of int parsing, where json.loads
+# raises a plain ValueError; without the limit the value itself is out of range
+_OVERSIZED = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("command, field", [
+    ("switch-eval", "curve.s"),
+    ("sim", "watermark.config.curve.s"),
+    ("sim", "horizon"),
+])
+def test_oversized_json_integer_exits_config_error(tmp_path, capsys, command, field):
+    if command == "switch-eval":
+        d = json.loads(shipped.data_text("demo_config.json"))
+        path = tmp_path / "config.json"
+        argv = ["switch-eval", "--config", str(path), "--y", "1.0"]
+    else:
+        d = json.loads(_write_short_scenario(tmp_path).read_text())
+        path = tmp_path / "scenario.json"
+        argv = ["sim", "--scenario", str(path), "--out", str(tmp_path / "out")]
+    _set_leaf(d, field.split("."), 987654321987654321)
+    path.write_text(json.dumps(d).replace("987654321987654321", _OVERSIZED))
+    assert main(argv) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("theta0", ["auto", [1.0, 0.0, 0.0]])
+def test_sim_inadmissible_derived_taps_exit_config_error(tmp_path, capsys, theta0):
+    # b0 floored to the subnormal 1e-320: its inverse overflows, so sigma
+    # refuses the taps, at the start of the run or at the first switch
+    d = json.loads(_write_short_scenario(tmp_path).read_text())
+    d["watermark"]["theta0"] = theta0
+    d["watermark"]["config"]["eta_floor"] = 1e-320
+    d["watermark"]["config"]["eta1"][0] = [0.0]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(d))
+    out = tmp_path / "out"
+    with pytest.warns(ConfigurationWarning, match="floor"):
+        assert main(["sim", "--scenario", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: leading tap too small to invert in double precision\n"
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -42,13 +43,21 @@ def enumerate_by_sqrt(curve):
             for y in sqrt_candidates(x ** 3 + curve.a * x + curve.b, s)]
 
 
+@functools.cache
+def _coordinates(curve):
+    """The affine points as float coordinate lists, sorted by (x, y)."""
+    pts = sorted((p.x, p.y) for p in curve.affine_points())
+    return [float(x) for x, _ in pts], [float(y) for _, y in pts]
+
+
 def nearest_by_scan(curve, x, y):
     """Reference projection: linear scan, smallest (d, x, y) wins, with d
-    computed in the same float operation order as the fast path."""
-    def key(p):
-        dx, dy = p.x - x, p.y - y
-        return (dx * dx + dy * dy, p.x, p.y)
-    return min(curve.affine_points(), key=key)
+    computed in the same float operation order as the fast path. The lists
+    are sorted by (x, y), so the first smallest d wins."""
+    xs, ys = _coordinates(curve)
+    ds = [(px - x) * (px - x) + (py - y) * (py - y) for px, py in zip(xs, ys)]
+    i = ds.index(min(ds))
+    return Point(int(xs[i]), int(ys[i]))
 
 
 # -- construction ------------------------------------------------------------

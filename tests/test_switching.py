@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -14,17 +15,21 @@ from ecwatermark import (
     Curve,
     FirParams,
     InputError,
+    ParameterError,
     Point,
+    StabilityReport,
     SwitchingConfig,
+    WatermarkUnit,
     alpha1,
     alpha2,
+    check_stability,
     eta1,
     eta2,
     sigma,
     sigma_detail,
     validate_theta,
 )
-from ecwatermark.switching import _table_row
+from ecwatermark.switching import admissible_taps
 from conftest import random_switching_config
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -295,11 +300,16 @@ def test_tap_table_rows_equal_staged_derivation(demo_cfg, curve, l, sample):
     indices = range(len(points))
     if sample is not None:
         indices = random.Random(l).sample(indices, sample)
-    assert cfg.tap_table.shape == (len(points), cfg.n_h + 1)
+    assert cfg.tap_table == [None] * len(points)
     for i in indices:
+        # scaling coefficients (0, 0, c) map y = 1 to exactly c, so the sample
+        # lands on point i; the scaling takes no part in the derivation
+        at_i = dataclasses.replace(cfg, alpha_x=(0.0, 0.0, points[i].x),
+                                   alpha_y=(0.0, 0.0, points[i].y))
         expected = staged_taps(points[i], cfg)
-        assert tuple(_table_row(cfg, i).tolist()) == expected
-        assert tuple(cfg.tap_table[i].tolist()) == expected
+        theta = sigma(1.0, at_i)
+        assert theta.taps == expected
+        assert at_i.tap_table[i] is theta
 
 
 def test_sigma_equals_staged_sigma_on_miss_and_hit():
@@ -313,10 +323,11 @@ def test_sigma_equals_staged_sigma_on_miss_and_hit():
             for y in ys.tolist():
                 expected = sigma_detail(y, cfg).theta.taps
                 x_s, y_s = alpha1(y, cfg.alpha_x, cfg.alpha_y, cfg.curve.s)
-                miss = math.isnan(cfg.tap_table[cfg.curve.nearest_index(x_s, y_s), 0])
+                miss = cfg.tap_table[cfg.curve.nearest_index(x_s, y_s)] is None
                 misses, hits = misses + miss, hits + (not miss)
-                assert sigma(y, cfg).taps == expected
-                assert sigma(y, cfg).taps == expected
+                theta = sigma(y, cfg)
+                assert theta.taps == expected
+                assert sigma(y, cfg) is theta
     assert misses > 100 and hits > 100
 
 
@@ -326,8 +337,8 @@ def test_configs_from_one_text_hold_separate_tables():
     cfg_b = SwitchingConfig.from_json(text)
     sigma(1.0, cfg_a)
     assert cfg_a.tap_table is not cfg_b.tap_table
-    assert not np.isnan(cfg_a.tap_table).all()
-    assert np.isnan(cfg_b.tap_table).all()
+    assert cfg_a.tap_table.count(None) < len(cfg_a.tap_table)
+    assert cfg_b.tap_table.count(None) == len(cfg_b.tap_table)
     # the table is no field: equality, hash and serialization ignore it
     assert cfg_a == cfg_b and hash(cfg_a) == hash(cfg_b)
     assert cfg_a.to_dict() == json.loads(text)
@@ -342,12 +353,36 @@ def test_failed_derivation_is_not_cached():
     for _ in range(3):
         with pytest.raises(InputError):
             sigma(y, cfg)
-        assert np.isnan(cfg.tap_table[i]).all()
+        assert cfg.tap_table[i] is None
     with pytest.raises(InputError):
         sigma_detail(y, cfg)
     # y = 1 maps to S = (6, 3), which derives and is stored as usual
     assert sigma(1.0, cfg) == sigma_detail(1.0, cfg).theta
-    assert np.isnan(cfg.tap_table).sum() == (len(cfg.tap_table) - 1) * (cfg.n_h + 1)
+    assert cfg.tap_table.count(None) == len(cfg.tap_table) - 1
+
+
+def test_sigma_hit_returns_the_stored_object(demo_cfg):
+    for y in (0.0, 10.3, -77.25, 5000.5):
+        theta = sigma(y, demo_cfg)
+        assert sigma(y, demo_cfg) is theta
+        assert any(slot is theta for slot in demo_cfg.tap_table)
+
+
+def test_inadmissible_derivation_raises_and_stores_nothing():
+    # b0 is floored to the subnormal 1e-320, whose inverse overflows: eta2
+    # returns it, but it must not enter the table
+    with pytest.warns(ConfigurationWarning, match="floor"):
+        cfg = make_config(eta_floor=1e-320,
+                          eta1_rows=((0.0,), (0.0, 0.0, 0.05), (1.0, -0.15, 0.012)))
+    for y in (0.0, 5.0, 5.0):
+        x_s, y_s = alpha1(y, cfg.alpha_x, cfg.alpha_y, cfg.curve.s)
+        i = cfg.curve.nearest_index(x_s, y_s)
+        with pytest.raises(ParameterError, match="too small to invert"):
+            sigma(y, cfg)
+        assert cfg.tap_table[i] is None
+        # the diagnostic path still reports the clamped taps
+        assert sigma_detail(y, cfg).theta.taps[0] == 1e-320
+    assert cfg.tap_table.count(None) == len(cfg.tap_table)
 
 
 @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
@@ -355,7 +390,7 @@ def test_sigma_rejects_non_finite_sample_before_the_table(y):
     cfg = make_config()
     with pytest.raises(InputError):
         sigma(y, cfg)
-    assert np.isnan(cfg.tap_table).all()
+    assert cfg.tap_table.count(None) == len(cfg.tap_table)
 
 
 # -- configuration -----------------------------------------------------------------
@@ -409,6 +444,18 @@ def test_config_file_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
     assert SwitchingConfig.load(path).to_dict() == cfg.to_dict()
+
+
+@pytest.mark.parametrize("taps", [(1.0, math.nan), (1.0, 0.5, math.nan),
+                                  (math.inf, 0.5, 0.1)], ids=["b1-nan", "tail-nan", "b0-inf"])
+def test_non_finite_taps_are_inadmissible_everywhere(taps):
+    report = validate_theta(taps)
+    assert not report.ok and report.violation == "taps must be finite"
+    with pytest.raises(ParameterError, match="inadmissible taps: taps must be finite"):
+        admissible_taps(taps)
+    with pytest.raises(ParameterError, match="taps must be finite"):
+        WatermarkUnit("generator", taps)
+    assert check_stability(taps) == StabilityReport(False, math.inf)
 
 
 def test_config_invalid_json_reports_path(tmp_path):
