@@ -50,9 +50,7 @@ from .watermark import (
     WatermarkUnit,
     apply_switch,
     check_stability,
-    generator_matrices,
     make_pair,
-    remover_matrices,
 )
 
 __version__ = "0.1.0"

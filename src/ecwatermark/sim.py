@@ -276,16 +276,13 @@ class AttackSpec:
     """Channel rewrite active from step `start` on.
 
     kinds: none; replay (resend the channel value recorded `window` steps
-    earlier, applied as an additive difference); bias (add a constant);
-    inject (additive term from a user callable over the recorded window,
-    programmatic use only, not serializable).
+    earlier, applied as an additive difference); bias (add a constant).
     """
 
     kind: str = "none"
     start: int = 0
     window: int = 0
     magnitude: float = 0.0
-    inject: object = None
 
     @classmethod
     def from_dict(cls, d, path="attack") -> "AttackSpec":
@@ -314,8 +311,7 @@ def apply_attack(y_w, history, spec: AttackSpec, k: int, runs=None) -> tuple:
     Before `spec.start` the channel is untouched. A replay whose window
     reaches before step 0 defers activation (the flag reports it) until
     enough history exists. `y_w` may also be one step of a lockstep batch,
-    shape (R, 1, 1) with `history` of shape (steps, R, 1, 1); an inject
-    callable is then called once per run on that run's window. Given
+    shape (R, 1, 1) with `history` of shape (steps, R, 1, 1). Given
     `runs`, only the batch's first `runs` rows are attacked and `history`
     holds theirs alone; the rows after them pass unchanged.
     """
@@ -331,13 +327,6 @@ def apply_attack(y_w, history, spec: AttackSpec, k: int, runs=None) -> tuple:
         if j < 0:
             return y_w, True
         return y_w + (history[j] - y_w), False
-    if spec.kind == "inject":
-        window = np.asarray(history[max(0, k - spec.window):k + 1])
-        if np.ndim(y_w) == 0:
-            return y_w + float(spec.inject(window, k)), False
-        terms = [float(spec.inject(np.ascontiguousarray(window[:, i, 0, 0]), k))
-                 for i in range(len(y_w))]
-        return y_w + np.reshape(terms, np.shape(y_w)), False
     raise ValueError(f"unknown attack kind {spec.kind!r}")
 
 
@@ -474,7 +463,7 @@ class Scenario:
         radius = float(np.abs(np.linalg.eigvals(closed)).max()) if finite else math.inf
         if radius >= 1.0:
             raise ConfigError(
-                f"closed loop is not Schur stable (spectral radius {radius:.4f})",
+                f"closed loop is not Schur stable (spectral radius {radius:.4g})",
                 path=f"{path}.controller",
             )
 
@@ -744,7 +733,7 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
 
     cols = {name: np.zeros((horizon, n_runs, 1, 1)) for name in _COLUMNS}
     residual = np.zeros((horizon, n_rows - n_runs, 1, 1))
-    history = cols["y_w"]  # what replay and inject read back
+    history = cols["y_w"]  # what replay reads back
     switch = np.zeros((horizon, n_rows), dtype=bool)
     tap_record = [[] for _ in all_seeds]
     times_w, times_q = [[] for _ in all_seeds], [[] for _ in all_seeds]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ParameterError
+from .errors import InputError
 from .switching import admissible_taps, validate_theta
 
 __all__ = [
@@ -26,50 +26,7 @@ __all__ = [
     "make_pair",
     "apply_switch",
     "check_stability",
-    "generator_matrices",
-    "remover_matrices",
 ]
-
-
-def _taps(theta) -> tuple[float, ...]:
-    return tuple(float(v) for v in theta)
-
-
-def generator_matrices(theta):
-    """State-space matrices of the tap filter: shift-register A, unit-vector B,
-    tail taps as C, leading tap as D."""
-    taps = _taps(theta)
-    n = len(taps) - 1
-    A = np.zeros((n, n))
-    for i in range(1, n):
-        A[i, i - 1] = 1.0
-    B = np.zeros((n, 1))
-    if n:
-        B[0, 0] = 1.0
-    C = np.array([taps[1:]], dtype=float)
-    D = np.array([[taps[0]]], dtype=float)
-    return A, B, C, D
-
-
-def remover_matrices(theta):
-    """Standard inverse realization (A - B D^-1 C, B D^-1, -D^-1 C, D^-1).
-
-    This choice (rather than the sign-flipped but equivalent realization)
-    makes the remover state an actual shift register of its past outputs,
-    which is what lets the identity jump keep both registers equal.
-    """
-    taps = _taps(theta)
-    if taps[0] == 0.0:
-        raise ParameterError("filter with b0 = 0 has no inverse")
-    d_inv = 1.0 / taps[0]
-    if not math.isfinite(d_inv):
-        raise ParameterError("leading tap too small to invert in double precision")
-    A, B, C, D = generator_matrices(taps)
-    Aq = A - B @ C * d_inv
-    Bq = B * d_inv
-    Cq = -C * d_inv
-    Dq = np.array([[d_inv]])
-    return Aq, Bq, Cq, Dq
 
 
 @dataclass(frozen=True)
@@ -84,12 +41,15 @@ class StabilityReport:
 
 
 def check_stability(theta) -> StabilityReport:
-    taps = _taps(theta)
+    """The radius is the largest |root| of b0 z^n + b1 z^(n-1) + ... + bn,
+    the remover's poles. It is infinite when b0 is zero, when 1/b0 or a
+    ratio bi/b0 leaves double range, or when a tap is not finite."""
+    taps = tuple(float(v) for v in theta)
     tap_test = bool(validate_theta(taps)) and abs(taps[0]) >= 1.0
-    if not all(map(math.isfinite, taps)) or taps[0] == 0.0 or not math.isfinite(1.0 / taps[0]):
+    if (not all(map(math.isfinite, taps)) or taps[0] == 0.0
+            or not all(math.isfinite(b / taps[0]) for b in (1.0,) + taps[1:])):
         return StabilityReport(False, math.inf)
-    Aq, _, _, _ = remover_matrices(taps)
-    radius = float(np.abs(np.linalg.eigvals(Aq)).max()) if Aq.size else 0.0
+    radius = float(np.abs(np.roots(taps)).max(initial=0.0))
     return StabilityReport(tap_test, radius)
 
 
@@ -123,11 +83,6 @@ class WatermarkUnit:
         self.role = role
         self.taps = admissible_taps(params)
         self._register = (0.0,) * (len(self.taps) - 1)
-
-    @property
-    def state(self) -> np.ndarray:
-        """Shift register, most recent entry first."""
-        return np.array(self._register)
 
     def set_params(self, params) -> None:
         """Adopt new taps; the shift register is kept in place (identity jump)."""

@@ -9,48 +9,18 @@ from ecwatermark import (
     FirParams,
     InputError,
     ParameterError,
+    StabilityReport,
     WatermarkSetup,
     apply_switch,
     check_stability,
     eta2,
-    generator_matrices,
     make_pair,
-    remover_matrices,
     validate_theta,
 )
+from ecwatermark.watermark import fir_step
 from sim_oracle import SwitchProtocol
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
-
-
-# -- realizations ------------------------------------------------------------
-
-def test_generator_matrices_shape_and_content():
-    A, B, C, D = generator_matrices((2.0, 0.75, 0.3))
-    assert A.tolist() == [[0.0, 0.0], [1.0, 0.0]]
-    assert B.tolist() == [[1.0], [0.0]]
-    assert C.tolist() == [[0.75, 0.3]]
-    assert D.tolist() == [[2.0]]
-
-
-def test_generator_poles_all_at_origin():
-    A, _, _, _ = generator_matrices((2.0, 0.75, 0.3, -0.1))
-    assert np.abs(np.linalg.eigvals(A)).max() < 1e-12
-
-
-def test_remover_matrices_are_standard_inverse():
-    taps = (2.0, 0.75, 0.3)
-    A, B, C, D = generator_matrices(taps)
-    Aq, Bq, Cq, Dq = remover_matrices(taps)
-    assert Dq[0, 0] == 0.5
-    assert np.allclose(Aq, A - B @ C / taps[0])
-    assert np.allclose(Bq, B / taps[0])
-    assert np.allclose(Cq, -C / taps[0])
-
-
-def test_remover_needs_nonzero_b0():
-    with pytest.raises(ParameterError):
-        remover_matrices((0.0, 0.5))
 
 
 # -- stability reports ----------------------------------------------------------
@@ -111,6 +81,39 @@ def test_tap_test_implies_radius_below_one(taps):
         assert report.spectral_radius < 1.0
 
 
+@pytest.mark.parametrize("taps", [(1e-308, 2.0), (1e-300, 1e10), (1e-200, 0.5, 1e150)])
+def test_pole_beyond_double_range_reports_infinite_radius(taps):
+    # the companion row -b_i/b0 overflows: a pole lies beyond double range
+    assert check_stability(taps) == StabilityReport(False, math.inf)
+
+
+@pytest.mark.parametrize("taps,radius", [
+    ((2.0, 0.5), 0.25),
+    ((2.0, 0.75, 0.0), 0.375),  # a zero tail tap adds a pole at the origin
+    ((2.0, 0.75, 0.3), math.sqrt(0.15)),  # complex pair, modulus sqrt(b2/b0)
+])
+def test_radius_known_cases(taps, radius):
+    assert math.isclose(check_stability(taps).spectral_radius, radius, rel_tol=1e-15)
+
+
+def companion_radius(taps):
+    """Spectral radius of the remover's state matrix A - B C / b0 in the
+    shift-register realization (A shifts, B = e0, C = the tail taps)."""
+    n = len(taps) - 1
+    A = np.eye(n, k=-1)
+    A[0] -= np.asarray(taps[1:]) * (1.0 / taps[0])
+    return float(np.abs(np.linalg.eigvals(A)).max()) if n else 0.0
+
+
+def test_radius_equals_companion_matrix_oracle():
+    rng = np.random.default_rng(16)
+    for _ in range(10_000):
+        taps = tuple(rng.uniform(-2, 2, int(rng.integers(2, 8))))  # n_h 1 to 6
+        report = check_stability(taps)
+        assert math.isclose(report.spectral_radius, companion_radius(taps), rel_tol=1e-12)
+        assert report.gershgorin_pass == (validate_theta(taps).ok and abs(taps[0]) >= 1.0)
+
+
 # -- unit construction and stepping ------------------------------------------------
 
 def test_make_pair_rejects_inadmissible():
@@ -120,7 +123,7 @@ def test_make_pair_rejects_inadmissible():
 
 def test_make_pair_example_dq():
     _, rem = make_pair((2.0, 0.75, 0.3))
-    assert remover_matrices(rem.taps)[3][0, 0] == 0.5
+    assert rem.step(1.0) == 0.5  # zero register: the remover's feedthrough 1/b0
 
 
 def test_identity_taps_pass_through():
@@ -162,17 +165,37 @@ def test_roundtrip_inversion_white_noise():
 
 
 def test_roundtrip_inversion_bulk():
-    # broad draw over the clamp's output set, 200-step sequences each
+    # broad draw over the clamp's output set, 200-step sequences each, stepped
+    # as one (R, 1, 1) stack per tap count through fir_step; every 200th pair
+    # also steps through WatermarkUnit.step and must equal its stacked row
     rng = np.random.default_rng(2026)
-    worst = 0.0
+    draws = []
     for _ in range(10_000):
         n_h = int(rng.integers(1, 5))
         theta = eta2(rng.uniform(-30, 30, n_h + 1),
                      floor=1.0, slope=1.0, margin=0.05)
-        gen, rem = make_pair(theta)
-        u = rng.normal(scale=10.0, size=200)
-        err = max(abs(rem.step(gen.step(float(v))) - float(v)) for v in u)
-        worst = max(worst, err)
+        draws.append((theta, rng.normal(scale=10.0, size=200)))
+    worst = 0.0
+    for n_taps in range(2, 6):
+        group = [i for i, (theta, _) in enumerate(draws) if len(theta) == n_taps]
+        taps = [np.array([draws[i][0][m] for i in group]).reshape(-1, 1, 1)
+                for m in range(n_taps)]
+        u = np.array([draws[i][1] for i in group])
+        picks = [row for row, i in enumerate(group) if i % 200 == 0]
+        reg_w = reg_q = (0.0,) * (n_taps - 1)
+        stacked = []
+        for t in range(u.shape[1]):
+            value = u[:, t].reshape(-1, 1, 1)
+            y_w = fir_step(taps, reg_w, value, True)
+            y_q = fir_step(taps, reg_q, y_w, False)
+            reg_w, reg_q = (value,) + reg_w[:-1], (y_q,) + reg_q[:-1]
+            worst = max(worst, float(np.abs(y_q - value).max()))
+            stacked.append((y_w[picks, 0, 0], y_q[picks, 0, 0]))
+        for j, row in enumerate(picks):
+            gen, rem = make_pair(draws[group[row]][0])
+            for (w_row, q_row), v in zip(stacked, u[row]):
+                y = gen.step(float(v))
+                assert (y, rem.step(y)) == (w_row[j], q_row[j])
     assert worst < 1e-9
 
 
@@ -211,7 +234,7 @@ def test_registers_stay_equal_across_switch():
         if k == 20:
             apply_switch(gen, rem, FirParams((3.0, -0.25, 0.1)))
         rem.step(gen.step(float(rng.normal())))
-    assert np.allclose(gen.state, rem.state, atol=1e-12)
+    assert np.allclose(gen._register, rem._register, atol=1e-12)
 
 
 def test_switch_rejects_inadmissible_taps():
