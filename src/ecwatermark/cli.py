@@ -73,10 +73,13 @@ def halfwidth(text: str) -> float:
 
 
 def references(text: str) -> tuple[float, ...]:
-    """One or more comma-separated sweep references, each finite."""
+    """One or more comma-separated sweep references, each finite, each with
+    its own output file name (see _ref_label)."""
     refs = tuple(map(float, text.split(",")))
     if not all(map(math.isfinite, refs)):
         raise argparse.ArgumentTypeError(f"references must be finite, got {text}")
+    if len({_ref_label(r) for r in refs}) < len(refs):
+        raise argparse.ArgumentTypeError(f"references must be distinct, got {text}")
     return refs
 
 

@@ -3,8 +3,9 @@
 Affine coordinates on plain Python ints throughout: on desk-scale fields one
 modular inversion (pow(v, -1, s)) per operation is cheap, and the
 chord-and-tangent case analysis stays easy to audit. The identity is the
-point at infinity O. Points are enumerated from one table of square roots
-mod s; a point's order comes from the factorized group order; the nearest
+point at infinity O. Points are enumerated from field.root_table, the one
+table of square roots mod s, so its enumeration bound is the curve's too;
+a point's order comes from the factorized group order; the nearest
 affine point to a real query is an exact float64 search over one band of
 x-columns around the query, with the whole curve as the fallback.
 """
@@ -18,10 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, InputError
-from .field import is_prime
-
-ENUMERATION_BOUND = 10_000
+from .errors import ConfigError, InputError
+from .field import is_prime, root_table
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,17 +144,11 @@ class Curve:
     # -- enumeration and derived quantities --------------------------------
 
     def affine_points(self) -> list[Point]:
-        """All affine points, sorted by (x, y). Cached after the first call."""
+        """All affine points, sorted by (x, y). Cached after the first call.
+        Raises CapacityError past the enumeration bound (see root_table)."""
         if self._affine is None:
-            if self.s > ENUMERATION_BOUND:
-                raise CapacityError(
-                    f"field size {self.s} exceeds enumeration bound {ENUMERATION_BOUND}"
-                )
             s, a, b = self.s, self.a, self.b
-            # roots[v] lists every y with y*y = v, ascending because y is
-            roots: list[list[int]] = [[] for _ in range(s)]
-            for y in range(s):
-                roots[y * y % s].append(y)
+            roots = root_table(s)
             pts = [Point(x, y) for x in range(s) for y in roots[(x * x * x + a * x + b) % s]]
             self._build_buckets(pts)
             self._affine = pts

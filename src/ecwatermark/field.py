@@ -1,19 +1,19 @@
 """Plain-integer helpers for Z/sZ with s prime: primality and square roots.
 
-The curve layer does its arithmetic on plain ints and uses only `is_prime`
-from here; `sqrt_candidates` serves callers that want individual square
-roots and the tests as a reference enumeration of curve points. Both are
-pure functions of their inputs.
+This module alone decides how square roots mod s are found and how large a
+field may be. `root_table` squares every residue once, which is why fields
+stay within ENUMERATION_BOUND; the curve layer enumerates its points from
+that table, and `sqrt_candidates` reads single entries of it. All three
+functions are pure functions of their inputs.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-# Below this size the square-root search is exhaustive; the scan doubles as
-# the reference algorithm for the Tonelli-Shanks branch used above it.
-EXHAUSTIVE_SQRT_LIMIT = 1000
+from .errors import CapacityError
 
+ENUMERATION_BOUND = 10_000
 
 # Miller-Rabin with these witnesses is exact for every n < 3.3 * 10**24,
 # far beyond any field this package can enumerate.
@@ -45,46 +45,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def sqrt_candidates(v: int, s: int) -> list[int]:
-    """All y in [0, s) with y*y == v mod s, ascending; s must be prime.
+def root_table(s: int) -> list[list[int]]:
+    """roots[v] lists every y in [0, s) with y*y == v mod s, ascending.
 
-    Returns zero, one, or two roots; a quadratic non-residue yields [].
+    O(s) time and memory. Raises ValueError when s is not prime and
+    CapacityError when s exceeds ENUMERATION_BOUND.
     """
     if not is_prime(s):
         raise ValueError(f"modulus {s} is not prime")
-    v %= s
-    if s < EXHAUSTIVE_SQRT_LIMIT:
-        return [y for y in range(s) if y * y % s == v]
-    return sorted(_tonelli_shanks(v, s))
+    if s > ENUMERATION_BOUND:
+        raise CapacityError(f"field size {s} exceeds enumeration bound {ENUMERATION_BOUND}")
+    roots: list[list[int]] = [[] for _ in range(s)]
+    for y in range(s):
+        roots[y * y % s].append(y)
+    return roots
 
 
-def _tonelli_shanks(n: int, p: int) -> list[int]:
-    if n == 0:
-        return [0]
-    if pow(n, (p - 1) // 2, p) != 1:
-        return []
-    if p % 4 == 3:
-        r = pow(n, (p + 1) // 4, p)
-        return [r, p - r] if r != p - r else [r]
-    # general case: write p - 1 = q * 2^m with q odd
-    q, m = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        m += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c = pow(z, q, p)
-    t = pow(n, q, p)
-    r = pow(n, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = (t2 * t2) % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m = i
-        c = (b * b) % p
-        t = (t * c) % p
-        r = (r * b) % p
-    return [r, p - r] if r != p - r else [r]
+def sqrt_candidates(v: int, s: int) -> list[int]:
+    """All y in [0, s) with y*y == v mod s, ascending; see root_table.
+
+    Returns zero, one, or two roots; a quadratic non-residue yields [].
+    """
+    return root_table(s)[v % s]

@@ -601,10 +601,6 @@ def _noise_chunks(rng: np.random.Generator, plant: PlantModel, n: int, rows: int
         cols = slice(sources[0][1].start, sources[-1][1].stop)
     for start in range(0, n, rows):
         size = min(rows, n - start)
-        if one_kind and len(sources) == 2:
-            # both sources: the draw is the whole block
-            yield draw[kind](a, b, (size, width))
-            continue
         block = np.zeros((size, width))
         if one_kind:
             block[:, cols] = draw[kind](a, b, (size, len(a)))

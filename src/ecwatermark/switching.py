@@ -254,16 +254,14 @@ def eta2(b_raw, *, floor: float, slope: float, margin: float) -> FirParams:
     elif b1 < -_B1_CAP:
         b1 = -_B1_CAP
     tail = b_raw[2:]
-    if all(v == 0.0 for v in tail):
-        return FirParams((b0, b1) + (0.0,) * len(tail))
     headroom = 1.0 - abs(b1)
     eps = min(margin, 0.5 * headroom)
     denom = 0.0
     for v in tail:
         denom += abs(v / b0)
     if denom == 0.0 or math.isinf(denom):
-        # tail magnitudes vanish (or blow past double range) relative to b0;
-        # a zero tail is the only representable admissible outcome
+        # an all-zero or empty tail, or one that vanishes (or blows past double
+        # range) relative to b0; a zero tail is the only admissible outcome
         return FirParams((b0, b1) + (0.0,) * len(tail))
     # divide before scaling: each ratio is bounded by |b0|, so no overflow
     return FirParams((b0, b1) + tuple((v / denom) * (headroom - eps) for v in tail))

@@ -377,6 +377,8 @@ def test_negative_seed_rejected_at_parsing(tmp_path, capsys, demo_config_file, c
     ["sweep", "--refs", ""],
     ["sweep", "--refs", "nan"],
     ["sweep", "--refs", "1e400"],
+    ["sweep", "--refs", "1,1.0"],
+    ["sweep", "--refs", "0,-0.0"],
 ])
 def test_sweep_and_grid_sizes_checked_at_parsing(tmp_path, capsys, demo_config_file, argv):
     command, option, _ = argv

@@ -2,6 +2,7 @@ import functools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ecwatermark import (
@@ -11,7 +12,6 @@ from ecwatermark import (
     Curve,
     InputError,
     Point,
-    sqrt_candidates,
 )
 from ecwatermark.analysis import voronoi_rows
 
@@ -37,10 +37,11 @@ def order_by_repeated_add(curve, p):
 
 
 def enumerate_by_sqrt(curve):
-    """Reference enumeration: per-x square roots from the field layer."""
+    """Reference enumeration: per-x square roots by a full scan over y,
+    independent of the field layer's root table."""
     s = curve.s
-    return [Point(x, y) for x in range(s)
-            for y in sqrt_candidates(x ** 3 + curve.a * x + curve.b, s)]
+    return [Point(x, y) for x in range(s) for y in range(s)
+            if (y * y - (x ** 3 + curve.a * x + curve.b)) % s == 0]
 
 
 @functools.cache
@@ -50,13 +51,27 @@ def _coordinates(curve):
     return [float(x) for x, _ in pts], [float(y) for _, y in pts]
 
 
-def nearest_by_scan(curve, x, y):
+def nearest_by_list_scan(curve, x, y):
     """Reference projection: linear scan, smallest (d, x, y) wins, with d
     computed in the same float operation order as the fast path. The lists
     are sorted by (x, y), so the first smallest d wins."""
     xs, ys = _coordinates(curve)
     ds = [(px - x) * (px - x) + (py - y) * (py - y) for px, py in zip(xs, ys)]
     i = ds.index(min(ds))
+    return Point(int(xs[i]), int(ys[i]))
+
+
+@functools.cache
+def _coordinate_arrays(curve):
+    return tuple(np.array(c, dtype=np.float64) for c in _coordinates(curve))
+
+
+def nearest_by_scan(curve, x, y):
+    """Reference projection: nearest_by_list_scan's float operations over the
+    whole curve at once, elementwise in numpy; argmin returns the first
+    minimum in (x, y) order."""
+    xs, ys = _coordinate_arrays(curve)
+    i = int(((xs - x) * (xs - x) + (ys - y) * (ys - y)).argmin())
     return Point(int(xs[i]), int(ys[i]))
 
 
@@ -190,7 +205,6 @@ def test_enumeration_sorted_and_on_curve(desk_curve):
 
 @pytest.mark.parametrize("a, b, s", [(2, 2, 17), (2, 3, 1009)])
 def test_enumeration_matches_sqrt_oracle(a, b, s):
-    # 1009 = 1 mod 4 sends sqrt_candidates through its Tonelli-Shanks branch
     curve = Curve(a, b, s)
     assert curve.affine_points() == enumerate_by_sqrt(curve)
 
@@ -362,8 +376,12 @@ def test_nearest_affine_scan_oracle_on_bucket_edges(large_curve):
 
 
 def test_nearest_affine_scan_oracle_on_large_voronoi_grid(large_curve):
-    for gx, gy, owner in voronoi_rows(large_curve, 50):
+    rows = list(voronoi_rows(large_curve, 50))
+    for gx, gy, owner in rows:
         assert owner == nearest_by_scan(large_curve, gx, gy)
+    # the list scan checks the numpy oracle on a fixed sample of 125 queries
+    for gx, gy, owner in rows[::20]:
+        assert owner == nearest_by_list_scan(large_curve, gx, gy)
 
 
 def test_nearest_affine_scan_oracle_on_ties_across_bucket_edges(large_curve):

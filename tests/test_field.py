@@ -1,6 +1,6 @@
 import pytest
 
-from ecwatermark import sqrt_candidates
+from ecwatermark import CapacityError, sqrt_candidates
 from ecwatermark.field import is_prime
 
 
@@ -69,17 +69,17 @@ def test_sqrt_nonresidue_empty():
     assert sqrt_candidates(3, 17) == []
 
 
-@pytest.mark.parametrize("s", [17, 101, 257])
+@pytest.mark.parametrize("s", [17, 101, 257, 1009])
 def test_sqrt_matches_exhaustive_oracle(s):
     for v in range(s):
         assert sqrt_candidates(v, s) == sqrt_by_search(v, s)
 
 
-def test_tonelli_shanks_agrees_with_search():
-    # 1009 = 1 mod 4 exercises the general branch; oracle is the full scan
-    s = 1009
-    for v in [0, 1, 2, 3, 5, 10, 123, 500, 1008]:
-        assert sqrt_candidates(v, s) == sqrt_by_search(v, s)
+def test_sqrt_past_enumeration_bound_rejected():
+    with pytest.raises(CapacityError):
+        sqrt_candidates(1, 10007)
+    with pytest.raises(CapacityError):
+        sqrt_candidates(4, 2**61 - 1)
 
 
 @pytest.mark.parametrize("s", [17, 101, 1009])

@@ -139,6 +139,10 @@ def test_eta2_worked_example():
 
 def test_eta2_passthrough_when_tail_zero():
     assert eta2((1.0, 0.0, 0.0), floor=0.1, slope=1.0, margin=0.1).taps == (1.0, 0.0, 0.0)
+    # a signed-zero tail and an empty one (n_h = 1); b1 = 0.5 / (0.5 + 1)
+    assert eta2((2.0, 0.5, -0.0, 0.0), floor=0.1, slope=1.0, margin=0.1).taps == (
+        2.0, 0.5 / 1.5, 0.0, 0.0)
+    assert eta2((2.0, 0.5), floor=0.1, slope=1.0, margin=0.1).taps == (2.0, 0.5 / 1.5)
 
 
 def test_eta2_floor_rule():
