@@ -1,7 +1,9 @@
 """Sensitivity sweeps and partition exports built on the projection stage.
 
-Both tools reuse the switching map's own nearest-point routine, so a cell
-assignment here can never disagree with a live switching evaluation.
+Both tools project whole blocks of queries through Curve.nearest_indices,
+which runs the same scan as the switching map's Curve.nearest_index, so a
+cell assignment or a sweep count here can never disagree with a live
+switching evaluation. The sweep keeps the switching map's scalar alpha1.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import Curve, Point
-from .switching import SwitchingConfig, alpha1, alpha2
+from .switching import SwitchingConfig, alpha1
 
 __all__ = ["SweepSpec", "ReferenceSweep", "sensitivity_sweep", "count_entropy",
            "voronoi_rows"]
@@ -74,15 +76,16 @@ def sensitivity_sweep(cfg: SwitchingConfig, spec: SweepSpec) -> list[ReferenceSw
     """Map perturbed measurements through the projection stage and count
     how often each curve point is selected, per reference."""
     rng = np.random.default_rng(spec.seed)
+    points = cfg.curve.affine_points()
     results = []
     for r in spec.references:
         noise = rng.uniform(-spec.noise_halfwidth, spec.noise_halfwidth,
                             spec.n_realizations)
-        counts: Counter[Point] = Counter()
-        for v in noise:
-            scaled = alpha1(r + float(v), cfg.alpha_x, cfg.alpha_y, cfg.curve.s)
-            counts[alpha2(scaled, cfg.curve)] += 1
-        results.append(ReferenceSweep(r, dict(counts), spec.n_realizations))
+        scaled = [alpha1(r + v, cfg.alpha_x, cfg.alpha_y, cfg.curve.s) for v in noise.tolist()]
+        hits = cfg.curve.nearest_indices(*zip(*scaled))
+        # Counter keeps first-hit order, the order count_entropy sums in
+        counts = {points[i]: c for i, c in Counter(hits.tolist()).items()}
+        results.append(ReferenceSweep(r, counts, spec.n_realizations))
     return results
 
 
@@ -95,8 +98,11 @@ def voronoi_rows(curve: Curve, grid: int):
     if grid < 1:
         raise ValueError("grid resolution must be positive")
     step = curve.s / grid
+    points = curve.affine_points()
+    gys = [j * step for j in range(grid)]
     for i in range(grid):
         gx = i * step
-        for j in range(grid):
-            gy = j * step
-            yield gx, gy, curve.nearest_affine(gx, gy)
+        # one grid row (one gx, every gy) per projection call
+        owners = curve.nearest_indices([gx] * grid, gys).tolist()
+        for gy, k in zip(gys, owners):
+            yield gx, gy, points[k]

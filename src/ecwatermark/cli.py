@@ -91,7 +91,10 @@ def cmd_curve(args) -> int:
     curve = Curve(args.a, args.b, args.s)
     affine = curve.affine_points()
     n = curve.order()
-    orders = [curve.point_order(p) for p in affine]
+    orders = {}
+    for p in affine:
+        # negation is a group automorphism, so order(-P) = order(P)
+        orders[p] = orders.get(curve.negate(p)) or curve.point_order(p)
     if args.json:
         payload = {
             "s": curve.s, "a": curve.a, "b": curve.b,
@@ -99,7 +102,7 @@ def cmd_curve(args) -> int:
             "identity": {"order": 1, "cofactor": n},
             "points": [
                 {"x": p.x, "y": p.y, "order": k, "cofactor": n // k}
-                for p, k in zip(affine, orders)
+                for p, k in orders.items()
             ],
         }
         print(json.dumps(payload, indent=2))
@@ -108,7 +111,7 @@ def cmd_curve(args) -> int:
     print(f"group order {n} ({len(affine)} affine points + identity)")
     print(f"{'point':>12}  {'order':>5}  {'cofactor':>8}")
     print(f"{'O':>12}  {1:>5}  {n:>8}")
-    for p, k in zip(affine, orders):
+    for p, k in orders.items():
         print(f"{str(p):>12}  {k:>5}  {n // k:>8}")
     return EXIT_OK
 

@@ -7,7 +7,10 @@ point at infinity O. Points are enumerated from field.root_table, the one
 table of square roots mod s, so its enumeration bound is the curve's too;
 a point's order comes from the factorized group order; the nearest
 affine point to a real query is an exact float64 search over one band of
-x-columns around the query, with the whole curve as the fallback.
+x-columns around the query, with the whole curve as the fallback. One scan,
+_squared_distances, holds the projection's float operations; nearest_index
+runs it for one query and nearest_indices for blocks of queries, so the two
+entry points cannot disagree.
 """
 
 from __future__ import annotations
@@ -43,6 +46,23 @@ class Point:
 
 
 INFINITY = Point(None, None)
+
+# nearest_indices scans at most about this many distances per block, so its
+# temporaries (512 KB each) do not grow with the number of queries
+BLOCK_DISTANCES = 1 << 16
+
+
+def _squared_distances(xs, ys, x, y):
+    """Float64 squared distances from the points (xs, ys) to a query,
+    dx*dx + dy*dy, in place in two temporaries. x and y are floats for one
+    query, or (m, 1) columns for an (m, len(xs)) block of m queries: the same
+    elementwise operations either way."""
+    d = xs - x
+    d *= d
+    dy = ys - y
+    dy *= dy
+    d += dy
+    return d
 
 
 class Curve:
@@ -212,12 +232,12 @@ class Curve:
     def nearest_index(self, x: float, y: float) -> int:
         """Index into affine_points() of the point nearest to (x, y).
 
-        Distances are float64 squared Euclidean distances, computed as
-        dx*dx + dy*dy, in place in two temporaries. Ties resolve to the
-        lexicographically smallest point: the point list is sorted and
-        argmin returns the first minimum. This is the single projection
-        routine shared by the switching map and the partition export, so the
-        two can never disagree.
+        Distances are float64 squared Euclidean distances from the one scan,
+        _squared_distances, which nearest_indices runs too. Ties resolve to
+        the lexicographically smallest point: the point list is sorted and
+        argmin returns the first minimum. The switching map projects through
+        this entry point and the partition export and sweeps through
+        nearest_indices, so they can never disagree.
 
         A query with 0 <= x < s scans only its column bucket: the points in
         the columns within W of the query's bucket of W columns. Every point
@@ -237,11 +257,7 @@ class Curve:
         else:
             xs, ys, lo, bound = self._whole
         while True:
-            d = xs - x
-            d *= d
-            dy = ys - y
-            dy *= dy
-            d += dy
+            d = _squared_distances(xs, ys, x, y)
             i = int(d.argmin())
             if d[i] < bound:
                 return lo + i
@@ -249,6 +265,57 @@ class Curve:
                 # the scan covered the whole curve: no distance is finite
                 raise InputError(f"cannot project ({x!r}, {y!r}) onto {self!r}")
             xs, ys, lo, bound = self._whole
+
+    def nearest_indices(self, qx, qy) -> np.ndarray:
+        """nearest_index of every query (qx[k], qy[k]), as an integer array.
+
+        The queries are grouped by column bucket. Each bucket's band is
+        scanned for a block of its queries at once, with argmin along each
+        query's row, and an answer stands when its band minimum is below the
+        bucket's bound, as in nearest_index. The queries that fail that test
+        or lie off the square are scanned against the whole curve. The float
+        operations, the tie rule and the fallback are nearest_index's, so
+        each answer is the same bit for bit. A block holds at most about
+        BLOCK_DISTANCES distances. Raises InputError for the first query, in
+        input order, that nearest_index would reject.
+        """
+        if self._affine is None:
+            self.affine_points()
+        qx = np.asarray(qx, dtype=np.float64)
+        qy = np.asarray(qy, dtype=np.float64)
+        if qx.ndim != 1 or qx.shape != qy.shape:
+            raise ValueError("queries must be two 1-D arrays of equal length")
+        out = np.empty(len(qx), dtype=np.intp)
+        inside = (qx >= 0) & (qx < self.s)  # False for NaN
+        bucket = np.full(len(qx), -1, dtype=np.intp)
+        bucket[inside] = qx[inside].astype(np.intp) // self._width
+        rest = [np.flatnonzero(~inside)]  # the queries left for the whole curve
+        # np.bincount, not np.unique: the first np.unique imports numpy.ma (1 MB)
+        for b in np.flatnonzero(np.bincount(bucket[inside])).tolist():
+            queries = np.flatnonzero(bucket == b)
+            rest.append(self._scan_block(self._buckets[b], queries, qx, qy, out))
+        bad = self._scan_block(self._whole, np.sort(np.concatenate(rest)), qx, qy, out)
+        if len(bad):
+            k = bad[0]
+            raise InputError(f"cannot project ({float(qx[k])!r}, {float(qy[k])!r}) onto {self!r}")
+        return out
+
+    @staticmethod
+    def _scan_block(table, queries, qx, qy, out) -> np.ndarray:
+        """Write the answers of the queries (indices into qx, qy) whose band
+        minimum in `table` is below its bound into out; return the others,
+        in their given order."""
+        xs, ys, lo, bound = table
+        step = max(1, BLOCK_DISTANCES // len(xs))
+        missed = [queries[:0]]
+        for start in range(0, len(queries), step):
+            k = queries[start:start + step]
+            d = _squared_distances(xs, ys, qx[k, None], qy[k, None])
+            i = d.argmin(axis=1)
+            hit = d[np.arange(len(k)), i] < bound
+            out[k[hit]] = lo + i[hit]
+            missed.append(k[~hit])
+        return np.concatenate(missed)
 
     def nearest_affine(self, x: float, y: float) -> Point:
         """Affine point minimizing squared Euclidean distance to (x, y); see

@@ -601,6 +601,10 @@ def _noise_chunks(rng: np.random.Generator, plant: PlantModel, n: int, rows: int
         cols = slice(sources[0][1].start, sources[-1][1].stop)
     for start in range(0, n, rows):
         size = min(rows, n - start)
+        if one_kind and len(a) == width:
+            # one kind over every column: the draw is the block
+            yield draw[kind](a, b, (size, width))
+            continue
         block = np.zeros((size, width))
         if one_kind:
             block[:, cols] = draw[kind](a, b, (size, len(a)))

@@ -233,8 +233,11 @@ def eta2(b_raw, *, floor: float, slope: float, margin: float) -> FirParams:
     total.
 
     With floor >= 1 every output provably has a stable inverse filter; the
-    configuration layer warns when a smaller floor is chosen.
+    configuration layer warns when a smaller floor is chosen. Raises
+    ValueError unless floor and slope are positive and finite.
     """
+    if not (0.0 < floor < math.inf and 0.0 < slope < math.inf):
+        raise ValueError(f"floor and slope must be positive and finite, got {floor!r}, {slope!r}")
     b_raw = tuple(float(v) for v in b_raw)
     if len(b_raw) < 2:
         raise ValueError("need at least raw taps for b0 and b1")

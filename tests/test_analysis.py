@@ -1,8 +1,11 @@
+import dataclasses
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from ecwatermark import Point, SwitchingConfig, alpha2
+from ecwatermark import Curve, Point, SwitchingConfig, alpha1, alpha2
 from ecwatermark.analysis import (
     SweepSpec,
     count_entropy,
@@ -49,6 +52,22 @@ def test_demo_config_entropy_ordering(demo_cfg):
     res = sensitivity_sweep(demo_cfg, SweepSpec(n_realizations=200, seed=4))
     by_ref = {r.reference: r for r in res}
     assert by_ref[10.0].entropy > by_ref[0.0].entropy
+
+
+@pytest.mark.parametrize("s", [17, 307])
+def test_sweep_equals_per_sample_projection(demo_cfg, s):
+    cfg = demo_cfg if s == 17 else dataclasses.replace(demo_cfg, curve=Curve(2, 3, s))
+    spec = SweepSpec(references=(0.0, -3.5, 1.0, 100.0, 1e4), n_realizations=2000,
+                     noise_halfwidth=0.5, seed=12)
+    rng = np.random.default_rng(spec.seed)
+    for res in sensitivity_sweep(cfg, spec):
+        counts = Counter()
+        for v in rng.uniform(-0.5, 0.5, spec.n_realizations):
+            counts[alpha2(alpha1(res.reference + float(v), cfg.alpha_x, cfg.alpha_y, s),
+                          cfg.curve)] += 1
+        # equal counts, in the same first-hit order, so the same entropy bits
+        assert list(res.counts.items()) == list(counts.items())
+        assert res.entropy == count_entropy(counts)
 
 
 def test_count_entropy_uniform_case():

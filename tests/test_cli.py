@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ecwatermark import ConfigurationWarning, Scenario, shipped
+from ecwatermark import ConfigurationWarning, Curve, Scenario, shipped
 from ecwatermark.cli import build_parser, main
 from ecwatermark.sim import MAX_CALIBRATION_STEPS, MAX_HORIZON
 
@@ -46,6 +46,16 @@ def test_curve_output_stable(capsys):
     first = capsys.readouterr().out
     main(["curve", "--s", "17", "--a", "2", "--b", "2"])
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("s, a, b", [(17, 2, 2), (307, 2, 3)])
+def test_curve_orders_equal_per_point_order(capsys, s, a, b):
+    # the report computes one order per +-P pair
+    assert main(["curve", "--s", str(s), "--a", str(a), "--b", str(b), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    curve = Curve(a, b, s)
+    assert [(p["x"], p["y"], p["order"]) for p in payload["points"]] == [
+        (p.x, p.y, curve.point_order(p)) for p in curve.affine_points()]
 
 
 def test_singular_curve_exits_config_error(capsys):

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ecwatermark import (
     Point,
 )
 from ecwatermark.analysis import voronoi_rows
+from ecwatermark.curve import BLOCK_DISTANCES
 
 P51 = Point(5, 1)
 
@@ -419,3 +421,117 @@ def test_nearest_affine_rejects_unprojectable_query_on_large_curve(large_curve, 
         large_curve.nearest_affine(x, y)
     with pytest.raises(InputError):
         large_curve.nearest_index(x, y)
+
+
+# -- nearest point: whole query blocks ------------------------------------------
+
+def assert_batch_matches_scalar(curve, queries):
+    """nearest_indices equals nearest_index query by query; returns the
+    indices."""
+    qx, qy = zip(*queries)
+    got = curve.nearest_indices(qx, qy)
+    assert got.dtype.kind == "i"
+    assert got.tolist() == [curve.nearest_index(x, y) for x, y in queries]
+    return got.tolist()
+
+
+def test_nearest_indices_equal_scalar_on_uniform_queries(oracle_curves):
+    for curve in oracle_curves:
+        rng = random.Random(curve.s)
+        assert_batch_matches_scalar(
+            curve, [(rng.uniform(0, curve.s), rng.uniform(0, curve.s)) for _ in range(3000)])
+
+
+def test_nearest_indices_equal_scalar_on_bucket_edges(oracle_curves):
+    for curve in oracle_curves:
+        curve.affine_points()
+        w = curve._width
+        rng = random.Random(w)
+        queries = [(x, rng.uniform(0, curve.s))
+                   for e in range(0, curve.s + w, w)
+                   for x in (e - 1.0, e - 0.5, float(e), e + 0.5)
+                   for _ in range(3)]
+        assert_batch_matches_scalar(curve, queries)
+
+
+def test_nearest_indices_equal_scalar_on_ties(oracle_curves):
+    # midpoints of neighbours, and of points on either side of a bucket edge
+    for curve in oracle_curves:
+        pts = curve.affine_points()
+        w = curve._width
+        pairs = list(zip(pts, pts[1:]))
+        pairs += [(p, q) for e in range(w, curve.s, w)
+                  for p in pts if e - 2 <= p.x < e for q in pts if e <= q.x < e + 2]
+        assert_batch_matches_scalar(curve, [((p.x + q.x) / 2, (p.y + q.y) / 2) for p, q in pairs])
+
+
+def test_nearest_indices_equal_scalar_past_the_band(large_curve):
+    # the coarse grid of test_nearest_affine_scan_oracle_past_the_band, whose
+    # largest gaps send queries to the whole-curve fallback
+    pts = large_curve.affine_points()
+    w = large_curve._width
+    queries = [(float(gx), float(gy)) for gx in range(20, 9973, 40) for gy in range(20, 9973, 40)]
+    owners = assert_batch_matches_scalar(large_curve, queries)
+    far = sum((pts[i].x - x) ** 2 + (pts[i].y - y) ** 2 >= w * w
+              for (x, y), i in zip(queries, owners))
+    assert far > 100
+
+
+def test_nearest_indices_equal_scalar_off_the_square(oracle_curves):
+    for curve in oracle_curves:
+        s, rng = curve.s, random.Random(7)
+        queries = [(-0.5, 10.0), (-1e-9, 4.0), (-0.0, -0.0), (float(s), 5.0),
+                   (s + 0.5, s - 0.5), (-1e6, 1e6), (1e100, 3.0)]
+        for _ in range(40):
+            queries.append((rng.uniform(0, s), rng.choice([-1.0, -250.5, float(s), s + 400.0])))
+            queries.append((rng.choice([-3.5, s + 0.25, 2.0 * s]), rng.uniform(-100, s + 100)))
+        assert_batch_matches_scalar(curve, queries)
+
+
+def test_nearest_indices_span_several_blocks(desk_curve, large_curve):
+    for curve in (desk_curve, large_curve):
+        curve.affine_points()
+        rng = random.Random(curve.s)
+        # 2.5 blocks in the first bucket, then 2.5 whole-curve blocks off the square
+        n_band = 5 * BLOCK_DISTANCES // len(curve._buckets[0][0]) // 2
+        n_off = 5 * BLOCK_DISTANCES // len(curve.affine_points()) // 2
+        queries = [(rng.uniform(0, curve._width), rng.uniform(0, curve.s)) for _ in range(n_band)]
+        queries += [(-1.0 - rng.uniform(0, 9), rng.uniform(0, curve.s)) for _ in range(n_off)]
+        assert_batch_matches_scalar(curve, queries)
+
+
+def test_nearest_indices_memory_does_not_grow_with_block(large_curve):
+    large_curve.affine_points()
+    rng = np.random.default_rng(3)
+    qx = rng.uniform(0, large_curve._width, 20000)  # one bucket: ~390 points
+    qy = rng.uniform(0, 9973, 20000)
+    tracemalloc.start()
+    try:
+        large_curve.nearest_indices(qx, qy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one unbounded block would be 20000 x ~390 doubles (62 MB) per temporary
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                 (1.0, -math.inf), (1e200, 1.0), (1.0, 1e200)])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_nearest_indices_reject_first_unprojectable_query(oracle_curves, bad):
+    for curve in oracle_curves:
+        # the bad query sits between good ones and before other bad kinds,
+        # which nearest_indices scans in other groups
+        queries = [(1.0, 2.0), (-5.0, 3.0), bad, (math.nan, math.nan), (2.0, 1e200), (3.0, 4.0)]
+        with pytest.raises(InputError) as want:
+            [curve.nearest_index(x, y) for x, y in queries]
+        assert repr(bad[0]) in str(want.value) and repr(bad[1]) in str(want.value)
+        with pytest.raises(InputError) as got:
+            curve.nearest_indices(*zip(*queries))
+        assert str(got.value) == str(want.value)
+
+
+def test_nearest_indices_empty_and_mismatched(desk_curve):
+    assert desk_curve.nearest_indices([], []).tolist() == []
+    with pytest.raises(ValueError):
+        desk_curve.nearest_indices([1.0, 2.0], [1.0])

@@ -150,6 +150,16 @@ def test_eta2_floor_rule():
     assert eta2((-0.01, 5.0, 1.0), floor=0.1, slope=1.0, margin=0.1).taps[0] == -0.1
 
 
+@pytest.mark.parametrize("floor, slope", [
+    (0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+    (1.0, 0.0), (1.0, -2.0), (1.0, math.nan), (1.0, math.inf)])
+def test_eta2_rejects_bad_floor_or_slope(floor, slope):
+    # floor 0 used to divide by b0 = 0, slope 0 by |raw1| = 0
+    for raw in ((0.0, 0.5, 1.0), (1.0, 0.0, 1.0)):
+        with pytest.raises(ValueError, match="floor and slope"):
+            eta2(raw, floor=floor, slope=slope, margin=0.1)
+
+
 def test_eta2_tail_radius_is_exact_margin():
     theta = eta2((1.4, -2.0, 3.0, -0.5), floor=1.0, slope=1.0, margin=0.1)
     total = sum(abs(v / theta.taps[0]) for v in theta.taps[2:])
