@@ -45,6 +45,9 @@ def seed(text: str) -> int:
 # --n samples per reference, a partition export --grid squared cells.
 MAX_SWEEP_SAMPLES = 10**6
 MAX_GRID = 1000
+# The common file-system limit on one file name; sweep file names are ASCII,
+# so characters are bytes.
+MAX_FILE_NAME = 255
 
 
 def positive_int(text: str, cap: int) -> int:
@@ -74,12 +77,16 @@ def halfwidth(text: str) -> float:
 
 def references(text: str) -> tuple[float, ...]:
     """One or more comma-separated sweep references, each finite, each with
-    its own output file name (see _ref_label)."""
+    its own output file name (see _ref_label) of at most MAX_FILE_NAME bytes."""
     refs = tuple(map(float, text.split(",")))
     if not all(map(math.isfinite, refs)):
         raise argparse.ArgumentTypeError(f"references must be finite, got {text}")
-    if len({_ref_label(r) for r in refs}) < len(refs):
+    labels = {_ref_label(r) for r in refs}
+    if len(labels) < len(refs):
         raise argparse.ArgumentTypeError(f"references must be distinct, got {text}")
+    if max(len(_sweep_file(label, ".csv")) for label in labels) > MAX_FILE_NAME:
+        raise argparse.ArgumentTypeError(
+            f"a reference's file name would pass {MAX_FILE_NAME} bytes, got {text}")
     return refs
 
 
@@ -89,12 +96,8 @@ def _point_json(p):
 
 def cmd_curve(args) -> int:
     curve = Curve(args.a, args.b, args.s)
-    affine = curve.affine_points()
+    orders = curve.point_orders()
     n = curve.order()
-    orders = {}
-    for p in affine:
-        # negation is a group automorphism, so order(-P) = order(P)
-        orders[p] = orders.get(curve.negate(p)) or curve.point_order(p)
     if args.json:
         payload = {
             "s": curve.s, "a": curve.a, "b": curve.b,
@@ -108,7 +111,7 @@ def cmd_curve(args) -> int:
         print(json.dumps(payload, indent=2))
         return EXIT_OK
     print(f"curve y^2 = x^3 + {curve.a}x + {curve.b} over F_{curve.s}")
-    print(f"group order {n} ({len(affine)} affine points + identity)")
+    print(f"group order {n} ({len(orders)} affine points + identity)")
     print(f"{'point':>12}  {'order':>5}  {'cofactor':>8}")
     print(f"{'O':>12}  {1:>5}  {n:>8}")
     for p, k in orders.items():
@@ -138,6 +141,10 @@ def _ref_label(r: float) -> str:
     return str(int(r)) if float(r).is_integer() else repr(r)
 
 
+def _sweep_file(label: str, suffix: str) -> str:
+    return f"sweep_r{label}{suffix}"
+
+
 def cmd_sweep(args) -> int:
     cfg = SwitchingConfig.load(args.config)
     spec = SweepSpec(references=args.refs, n_realizations=args.n,
@@ -152,7 +159,7 @@ def cmd_sweep(args) -> int:
                "uniform_rel_freq": uniform, "references": {}}
     for res in results:
         label = _ref_label(res.reference)
-        path = outdir / f"sweep_r{label}.csv"
+        path = outdir / _sweep_file(label, ".csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("point_x,point_y,count,rel_freq\n")
             for p in affine:
@@ -165,7 +172,7 @@ def cmd_sweep(args) -> int:
         }
         if args.svg:
             svgplot.histogram_svg(
-                outdir / f"sweep_r{label}.svg",
+                outdir / _sweep_file(label, ".svg"),
                 [str(p) for p in affine],
                 [res.rel_freq(p) for p in affine],
                 reference_line=uniform,
@@ -184,10 +191,13 @@ def cmd_voronoi(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "voronoi.csv"
+    # each grid coordinate recurs in about 2*grid cells and each owner in
+    # many: format each once
+    coords = {v: repr(v) for v in {v for gx, gy, _ in rows for v in (gx, gy)}}
+    seeds = {p: f"{p.x},{p.y}" for p in curve.affine_points()}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("gx,gy,seed_x,seed_y\n")
-        for gx, gy, owner in rows:
-            fh.write(f"{gx!r},{gy!r},{owner.x},{owner.y}\n")
+        fh.write("".join([f"{coords[gx]},{coords[gy]},{seeds[p]}\n" for gx, gy, p in rows]))
     if args.svg:
         svgplot.voronoi_svg(outdir / "voronoi.svg", curve.s, rows,
                             title=f"nearest-seed partition, F_{curve.s}")

@@ -5,7 +5,8 @@ modular inversion (pow(v, -1, s)) per operation is cheap, and the
 chord-and-tangent case analysis stays easy to audit. The identity is the
 point at infinity O. Points are enumerated from field.root_table, the one
 table of square roots mod s, so its enumeration bound is the curve's too;
-a point's order comes from the factorized group order; the nearest
+one point's order comes from the factorized group order and every point's
+from walks of cyclic subgroups (point_orders); the nearest
 affine point to a real query is an exact float64 search over one band of
 x-columns around the query, with the whole curve as the fallback. One scan,
 _squared_distances, holds the projection's float operations; nearest_index
@@ -216,7 +217,9 @@ class Curve:
         """Smallest n >= 1 with n*p = O; the order of O itself is 1.
 
         Starts from the group order (a multiple of every point order) and
-        strips each prime factor q while (n/q)*p is still O.
+        strips each prime factor q while (n/q)*p is still O: a few
+        scalar_mul calls for one point. For the order of every point,
+        point_orders is far cheaper.
         """
         self._require_on_curve(p)
         n = self.order()
@@ -224,6 +227,37 @@ class Curve:
             while n % q == 0 and self.scalar_mul(n // q, p).is_infinity:
                 n //= q
         return n
+
+    def point_orders(self) -> dict[Point, int]:
+        """{P: point_order(P)} for every affine point, in affine_points() order.
+
+        Walks cyclic subgroups. For each point P with no order yet, adding P
+        to itself until the sum is O lists P, 2P, ..., (m-1)P, so m is the
+        order of P; each multiple kP then gets the order m / gcd(k, m), exact
+        group theory (it covers -P = (m-1)P).
+
+        The cost is at most max m/phi(m) times N additions (N affine points,
+        m over the point orders, phi Euler's totient). A walk from P costs
+        m - 1 additions, and all phi(m) generators of <P> are new to it: had
+        an earlier walk from P' reached a generator Q, then <P> = <Q> would
+        lie inside <P'>, and P would have its order already. So each walk
+        assigns at least phi(m) points for fewer than m additions. Within the
+        enumeration bound every order is below 30030 = 2*3*5*7*11*13, so
+        m/phi(m) is at most 2310/phi(2310) = 4.8125, against about 60
+        additions per point for point_order.
+        """
+        orders = dict.fromkeys(self.affine_points(), 0)
+        for p in orders:
+            if orders[p]:
+                continue
+            walk = [p]
+            while not (q := self._add(walk[-1], p)).is_infinity:
+                walk.append(q)
+            m = len(walk) + 1
+            for k, q in enumerate(walk, 1):
+                if not orders[q]:
+                    orders[q] = m // math.gcd(k, m)
+        return orders
 
     def cofactor(self, p: Point) -> int:
         """Group order divided by the order of p (an integer by Lagrange)."""

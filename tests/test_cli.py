@@ -11,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ecwatermark import ConfigurationWarning, Curve, Scenario, shipped
+from ecwatermark.analysis import voronoi_rows
 from ecwatermark.cli import build_parser, main
 from ecwatermark.sim import MAX_CALIBRATION_STEPS, MAX_HORIZON
 
@@ -48,9 +49,9 @@ def test_curve_output_stable(capsys):
     assert capsys.readouterr().out == first
 
 
-@pytest.mark.parametrize("s, a, b", [(17, 2, 2), (307, 2, 3)])
+@pytest.mark.parametrize("s, a, b", [(17, 2, 2), (307, 2, 3), (307, 306, 0)])
 def test_curve_orders_equal_per_point_order(capsys, s, a, b):
-    # the report computes one order per +-P pair
+    # the report walks cyclic subgroups; (307, 306, 0) is Z2 x Z154, not cyclic
     assert main(["curve", "--s", str(s), "--a", str(a), "--b", str(b), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     curve = Curve(a, b, s)
@@ -183,6 +184,26 @@ def test_voronoi_export(tmp_path):
     assert (out / "voronoi.svg").exists()
     # a row that sits exactly on a seed is assigned to it
     assert "0.0,6.0,0,6" in lines
+
+
+def voronoi_csv_per_cell(curve, grid):
+    """The per-cell writer of voronoi.csv, kept as the byte oracle."""
+    lines = ["gx,gy,seed_x,seed_y\n"]
+    for gx, gy, owner in voronoi_rows(curve, grid):
+        lines.append(f"{gx!r},{gy!r},{owner.x},{owner.y}\n")
+    return "".join(lines).encode()
+
+
+@pytest.mark.parametrize("s, a, b, grid", [
+    *[(s, a, b, grid) for s, a, b in [(17, 2, 2), (101, 2, 3), (307, 2, 3)]
+      for grid in (100, 170, 333)],
+    (9973, 2, 3, 100),
+])
+def test_voronoi_csv_equals_per_cell_writer(tmp_path, capsys, s, a, b, grid):
+    out = tmp_path / "vor"
+    assert main(["voronoi", "--s", str(s), "--a", str(a), "--b", str(b),
+                 "--grid", str(grid), "--out", str(out)]) == 0
+    assert (out / "voronoi.csv").read_bytes() == voronoi_csv_per_cell(Curve(a, b, s), grid)
 
 
 # -- sim ---------------------------------------------------------------------------------
@@ -389,6 +410,8 @@ def test_negative_seed_rejected_at_parsing(tmp_path, capsys, demo_config_file, c
     ["sweep", "--refs", "1e400"],
     ["sweep", "--refs", "1,1.0"],
     ["sweep", "--refs", "0,-0.0"],
+    ["sweep", "--refs", "1,1e300"],  # a 301-digit label: the file name is too long
+    ["sweep", "--refs", "0,-1e243"],  # sweep_r-1000...0.csv is 256 bytes
 ])
 def test_sweep_and_grid_sizes_checked_at_parsing(tmp_path, capsys, demo_config_file, argv):
     command, option, _ = argv
@@ -411,6 +434,20 @@ def test_sweep_and_grid_sizes_accepted_at_the_cap(argv, dest):
     # parsed only: running at the cap takes seconds to minutes
     args = build_parser().parse_args(argv + ["--out", "out"])
     assert getattr(args, dest) == int(argv[-1])
+
+
+def test_sweep_reference_file_name_at_the_limit(tmp_path, capsys):
+    # atan-only scaling stays finite for any finite reference
+    d = json.loads(shipped.data_text("demo_config.json"))
+    d["alpha"] = {"x": [4.0, 1.0], "y": [2.5, 0.7]}
+    config = tmp_path / "atan_config.json"
+    config.write_text(json.dumps(d))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(config), "--out", str(out),
+                 "--refs", "1e243", "--n", "10"]) == 0
+    name = f"sweep_r{int(1e243)}.csv"
+    assert len(name) == 255
+    assert (out / name).exists()
 
 
 @pytest.mark.parametrize("noise", ["measurement_noise", "process_noise"])

@@ -267,6 +267,41 @@ def test_point_order_matches_repeated_addition_mod_307():
         assert curve.point_order(p) == order_by_repeated_add(curve, p)
 
 
+@pytest.mark.parametrize("a, b, s", [
+    (2, 2, 17),
+    (2, 3, 307),  # cyclic of order 310: one walk
+    (1, 0, 1009),  # ten walks
+    (306, 0, 307),  # Z2 x Z154, not cyclic
+    (2, 3, 9973),  # two walks
+])
+def test_point_orders_equal_point_order(a, b, s):
+    curve = Curve(a, b, s)
+    assert list(curve.point_orders().items()) == [
+        (p, curve.point_order(p)) for p in curve.affine_points()]
+
+
+def _totient(m):
+    return sum(math.gcd(k, m) == 1 for k in range(1, m + 1))
+
+
+@pytest.mark.parametrize("a, b, s, walks", [(1, 0, 1009, 10), (2, 3, 9973, 2)])
+def test_point_orders_additions_within_bound(monkeypatch, a, b, s, walks):
+    curve = Curve(a, b, s)
+    n = len(curve.affine_points())
+    sums = []
+    add = curve._add
+
+    def counting_add(p, q):
+        sums.append(add(p, q))
+        return sums[-1]
+
+    monkeypatch.setattr(curve, "_add", counting_add)
+    orders = curve.point_orders()
+    # each walk ends at the first sum that is O
+    assert sum(q.is_infinity for q in sums) == walks
+    assert len(sums) <= max(m / _totient(m) for m in set(orders.values())) * n
+
+
 def test_hasse_bound_on_random_curves():
     for curve in _random_curves(8):
         n = curve.order()
