@@ -1,9 +1,10 @@
 """Sensitivity sweeps and partition exports built on the projection stage.
 
 Both tools project whole blocks of queries through Curve.nearest_indices,
-which runs the same scan as the switching map's Curve.nearest_index, so a
-cell assignment or a sweep count here can never disagree with a live
-switching evaluation. The sweep keeps the switching map's scalar alpha1.
+which runs the same scan as the switching map's Curve.nearest_index, and the
+sweep scales each reference's samples in one block alpha1 call, bit for bit
+the switching map's float alpha1, so a cell assignment or a sweep count here
+can never disagree with a live switching evaluation.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -19,6 +21,11 @@ from .switching import SwitchingConfig, alpha1
 
 __all__ = ["SweepSpec", "ReferenceSweep", "sensitivity_sweep", "count_entropy",
            "voronoi_rows"]
+
+# voronoi_rows projects as many whole grid rows per nearest_indices call as
+# fit in this many queries (a grid of 181 or less in one call), so its memory
+# stops growing with the grid
+BLOCK_QUERIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -81,8 +88,8 @@ def sensitivity_sweep(cfg: SwitchingConfig, spec: SweepSpec) -> list[ReferenceSw
     for r in spec.references:
         noise = rng.uniform(-spec.noise_halfwidth, spec.noise_halfwidth,
                             spec.n_realizations)
-        scaled = [alpha1(r + v, cfg.alpha_x, cfg.alpha_y, cfg.curve.s) for v in noise.tolist()]
-        hits = cfg.curve.nearest_indices(*zip(*scaled))
+        scaled = alpha1(r + noise, cfg.alpha_x, cfg.alpha_y, cfg.curve.s)
+        hits = cfg.curve.nearest_indices(*scaled)
         # Counter keeps first-hit order, the order count_entropy sums in
         counts = {points[i]: c for i, c in Counter(hits.tolist()).items()}
         results.append(ReferenceSweep(r, counts, spec.n_realizations))
@@ -90,19 +97,21 @@ def sensitivity_sweep(cfg: SwitchingConfig, spec: SweepSpec) -> list[ReferenceSw
 
 
 def voronoi_rows(curve: Curve, grid: int):
-    """Yield (gx, gy, owner) for a grid x grid sampling of [0, s)^2.
+    """Yield (gx, gy, owner) for a grid x grid sampling of [0, s)^2, one grid
+    row (one gx, every gy) after another.
 
     Grid coordinates are i*s/grid, so for resolutions that are multiples of
-    s the integer lattice (and thus every seed) is sampled exactly.
+    s the integer lattice (and thus every seed) is sampled exactly. Whole
+    grid rows are projected together, up to BLOCK_QUERIES cells per call.
     """
     if grid < 1:
         raise ValueError("grid resolution must be positive")
     step = curve.s / grid
     points = curve.affine_points()
     gys = [j * step for j in range(grid)]
-    for i in range(grid):
-        gx = i * step
-        # one grid row (one gx, every gy) per projection call
-        owners = curve.nearest_indices([gx] * grid, gys).tolist()
-        for gy, k in zip(gys, owners):
+    per_call = max(1, BLOCK_QUERIES // grid)
+    for i in range(0, grid, per_call):
+        gxs = [k * step for k in range(i, min(i + per_call, grid))]
+        owners = curve.nearest_indices(np.repeat(gxs, grid), np.tile(gys, len(gxs))).tolist()
+        for (gx, gy), k in zip(product(gxs, gys), owners):
             yield gx, gy, points[k]

@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .analysis import SweepSpec, sensitivity_sweep, voronoi_rows
@@ -187,21 +188,28 @@ def cmd_sweep(args) -> int:
 
 def cmd_voronoi(args) -> int:
     curve = Curve(args.a, args.b, args.s)
-    rows = list(voronoi_rows(curve, args.grid))
+    cells = voronoi_rows(curve, args.grid)
+    # the first grid row is projected before any output exists; the grid
+    # coordinates take the same values on both axes, so it holds them all,
+    # and each is formatted once
+    row = list(islice(cells, args.grid))
+    coords = {gy: repr(gy) for _, gy, _ in row}
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "voronoi.csv"
-    # each grid coordinate recurs in about 2*grid cells and each owner in
-    # many: format each once
-    coords = {v: repr(v) for v in {v for gx, gy, _ in rows for v in (gx, gy)}}
-    seeds = {p: f"{p.x},{p.y}" for p in curve.affine_points()}
+    rows = []  # every cell, kept only for the SVG
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("gx,gy,seed_x,seed_y\n")
-        fh.write("".join([f"{coords[gx]},{coords[gy]},{seeds[p]}\n" for gx, gy, p in rows]))
+        # one grid row per write, so memory does not grow with the grid
+        while row:
+            fh.write("".join([f"{coords[gx]},{coords[gy]},{p.x},{p.y}\n" for gx, gy, p in row]))
+            if args.svg:
+                rows += row
+            row = list(islice(cells, args.grid))
     if args.svg:
         svgplot.voronoi_svg(outdir / "voronoi.svg", curve.s, rows,
                             title=f"nearest-seed partition, F_{curve.s}")
-    print(f"wrote {len(rows)} cell assignments to {path}")
+    print(f"wrote {args.grid ** 2} cell assignments to {path}")
     return EXIT_OK
 
 

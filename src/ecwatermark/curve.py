@@ -49,8 +49,10 @@ class Point:
 INFINITY = Point(None, None)
 
 # nearest_indices scans at most about this many distances per block, so its
-# temporaries (512 KB each) do not grow with the number of queries
-BLOCK_DISTANCES = 1 << 16
+# temporaries (128 KB each) do not grow with the number of queries. On a
+# 2-core Xeon VM (48 KB L1d per core), _squared_distances took about 4.3 ns
+# per distance at 2^14 distances and 9.5 to 12 ns from 2^15 up.
+BLOCK_DISTANCES = 1 << 14
 
 
 def _squared_distances(xs, ys, x, y):

@@ -31,6 +31,8 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .curve import Curve, Point
 from .errors import CapacityError, ConfigError, ConfigurationWarning, InputError, ParameterError
 
@@ -157,37 +159,65 @@ def _numbers(value, path) -> tuple[float, ...]:
 _B1_CAP = 1.0 - 2.0**-20
 
 
-def _mod_interval(value: float, s: int) -> float:
-    # Python's float % can land exactly on s for tiny negative inputs;
-    # fold that case back to 0 so results stay in [0, s).
-    r = value % s
-    return 0.0 if r == s else r
+def _scale_component(y: float | np.ndarray, coeffs, s: int, block: bool = False):
+    """One coordinate of alpha1: a0*atan(a1*y) + inner*t*t with t = |y| and
+    inner the Horner sum of a2, a3, ..., reduced mod s.
 
-
-def _scale_component(y: float, coeffs, s: int) -> float:
+    y is a float, or with `block` a 1-D float64 array scaled element by
+    element with the same IEEE operations in the same order, so each element
+    is bit for bit the float result. atan is math.atan per element, not
+    np.arctan, whose SIMD loops need not round as libm does. A float whose
+    value overflows raises InputError; an array element whose value does
+    comes back NaN.
+    """
     if len(coeffs) < 2:
         raise ValueError("scaling needs at least the two arctangent coefficients")
     t = abs(y)
     inner = 0.0
     for c in reversed(coeffs[2:]):
         inner = inner * t + c
-    value = coeffs[0] * math.atan(coeffs[1] * y) + inner * t * t
+    u = coeffs[1] * y
+    a = np.array(list(map(math.atan, u.tolist()))) if block else math.atan(u)
+    value = coeffs[0] * a + inner * t * t
+    # % can land exactly on s for tiny negative values; fold that case back
+    # to 0 so results stay in [0, s)
+    r = value % s
+    if block:
+        r[r == s] = 0.0
+        return r
     if not math.isfinite(value):
         raise InputError(f"scaling of y={y!r} overflowed double precision")
-    return _mod_interval(value, s)
+    return 0.0 if r == s else r
 
 
-def alpha1(y: float, coeffs_x, coeffs_y, s: int) -> tuple[float, float]:
+def alpha1(y: float | np.ndarray, coeffs_x, coeffs_y, s: int) -> tuple:
     """Scale a measurement into real coordinates in [0, s) x [0, s).
 
     Each coordinate is a0*atan(a1*y) + sum_{j>=2} a_j*|y|^j reduced mod s,
     with its own coefficient list, so the two coordinates differ in general.
     The polynomial part is evaluated by Horner's rule so both endpoints
     round identically.
+
+    y is a float, giving a pair of floats, or a 1-D float64 array of
+    measurements, giving a pair of arrays bit for bit equal to the float
+    calls. InputError names a non-finite measurement first, then a
+    coordinate that overflows; a block raises the error of the float call
+    at its first bad measurement, in input order.
     """
-    if not isinstance(y, (int, float)) or not math.isfinite(y):
+    if isinstance(y, (int, float)) and math.isfinite(y):
+        return (_scale_component(y, coeffs_x, s), _scale_component(y, coeffs_y, s))
+    if not isinstance(y, np.ndarray):
         raise InputError(f"measurement must be finite, got {y!r}")
-    return (_scale_component(y, coeffs_x, s), _scale_component(y, coeffs_y, s))
+    if y.ndim != 1 or y.dtype != np.float64:
+        raise ValueError("a block of measurements must be a 1-D float64 array")
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, ys = _scale_component(y, coeffs_x, s, True), _scale_component(y, coeffs_y, s, True)
+    bad = np.isnan(xs) | np.isnan(ys)
+    if bad.any():
+        # a non-finite measurement or an overflow leaves NaN: the float call
+        # at the first one raises its own error
+        alpha1(float(y[bad.argmax()]), coeffs_x, coeffs_y, s)
+    return xs, ys
 
 
 def alpha2(pt: tuple[float, float], curve: Curve) -> Point:

@@ -54,7 +54,7 @@ def test_demo_config_entropy_ordering(demo_cfg):
     assert by_ref[10.0].entropy > by_ref[0.0].entropy
 
 
-@pytest.mark.parametrize("s", [17, 307])
+@pytest.mark.parametrize("s", [17, 307, 9973])
 def test_sweep_equals_per_sample_projection(demo_cfg, s):
     cfg = demo_cfg if s == 17 else dataclasses.replace(demo_cfg, curve=Curve(2, 3, s))
     spec = SweepSpec(references=(0.0, -3.5, 1.0, 100.0, 1e4), n_realizations=2000,

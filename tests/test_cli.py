@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -171,6 +172,18 @@ def test_sweep_writes_per_reference_csv(demo_config_file, tmp_path, capsys):
     assert set(summary["references"]) == {"0", "10"}
 
 
+def test_sweep_overflowing_reference_exits_before_writing(demo_config_file, tmp_path, capsys):
+    # the demo scaling's |y|^3 term overflows at 1e200, the second reference
+    out = tmp_path / "sweep"
+    out.mkdir()
+    assert main(["sweep", "--config", str(demo_config_file), "--out", str(out),
+                 "--refs", "1,1e200"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: scaling of y=1e+200 overflowed double precision\n"
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
 # -- voronoi ---------------------------------------------------------------------------
 
 def test_voronoi_export(tmp_path):
@@ -204,6 +217,22 @@ def test_voronoi_csv_equals_per_cell_writer(tmp_path, capsys, s, a, b, grid):
     assert main(["voronoi", "--s", str(s), "--a", str(a), "--b", str(b),
                  "--grid", str(grid), "--out", str(out)]) == 0
     assert (out / "voronoi.csv").read_bytes() == voronoi_csv_per_cell(Curve(a, b, s), grid)
+
+
+def _voronoi_peak_bytes(tmp_path, grid):
+    tracemalloc.start()
+    try:
+        assert main(["voronoi", "--s", "307", "--a", "2", "--b", "3",
+                     "--grid", str(grid), "--out", str(tmp_path / f"vor{grid}")]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_voronoi_memory_does_not_grow_with_grid(tmp_path, capsys):
+    _voronoi_peak_bytes(tmp_path, 10)  # the field's root table and imports
+    # holding every cell, line and the joined text made the peak grow 4x
+    assert _voronoi_peak_bytes(tmp_path, 400) < 2 * _voronoi_peak_bytes(tmp_path, 200)
 
 
 # -- sim ---------------------------------------------------------------------------------

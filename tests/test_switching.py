@@ -93,6 +93,64 @@ def test_alpha1_rejects_overflowing_polynomial():
         alpha1(1e200, (0.0, 0.0, 1.0, 1.0), (0.0, 0.0), 17)
 
 
+def _measurement_families():
+    rng = np.random.default_rng(21)
+    tiny = np.concatenate([[1e-300, -1e-300, 0.0, -0.0], -np.logspace(-320, 2, 400)])
+    return {"near 10": rng.uniform(9.9, 10.1, 1000), "normal 30": rng.normal(0.0, 30.0, 1000),
+            "wide": rng.uniform(-1e4, 1e4, 1000), "tiny": tiny}
+
+
+@pytest.mark.parametrize("s", [17, 307, 9973])
+@pytest.mark.parametrize("family", ["near 10", "normal 30", "wide", "tiny"])
+def test_alpha1_block_equals_float_calls(demo_cfg, s, family):
+    ys = _measurement_families()[family]
+    for cx, cy in ((demo_cfg.alpha_x, demo_cfg.alpha_y),
+                   ((4.0, 1.0, 3.0, 2.4), (0.0, 0.0, 1.0)), ((2.5, 0.7), (-1.5, 1e-3, 2.0))):
+        xs, ys_ = alpha1(ys, cx, cy, s)
+        pairs = [alpha1(y, cx, cy, s) for y in ys.tolist()]
+        assert xs.tobytes() == np.array([x for x, _ in pairs]).tobytes()
+        assert ys_.tobytes() == np.array([y for _, y in pairs]).tobytes()
+
+
+def test_alpha1_block_folds_tiny_negatives_to_zero():
+    # atan(y) is y here, and y % 17 is 17.0 in double precision: the block
+    # folds it to 0 as the float call does
+    assert -1e-22 % 17 == 17.0
+    xs, _ = alpha1(np.array([-1e-22, -1e-300, 2.0]), (1.0, 1.0), (0.0, 0.0), 17)
+    assert xs.tolist() == [0.0, 0.0, math.atan(2.0)]
+
+
+def _first_error(ys, cx, cy, s):
+    """The InputError of the float call loop over ys, as (type, message)."""
+    with pytest.raises(InputError) as exc:
+        for y in ys:
+            alpha1(y, cx, cy, s)
+    return type(exc.value), str(exc.value)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ys, message", [
+    ([1.0, 2.0, 1e200, 3.0, 1e300], "scaling of y=1e+200 overflowed double precision"),
+    ([1.0, 1e300, math.nan, 1e200], "scaling of y=1e+300 overflowed double precision"),
+    ([1.0, -math.inf, 1e300, math.nan], "measurement must be finite, got -inf"),
+    ([0.5, math.nan, 1e300], "measurement must be finite, got nan"),
+])
+def test_alpha1_block_raises_first_float_error(ys, message):
+    # the overflow is in the y coordinate only, at a middle index
+    cx, cy = (4.0, 1.0), (0.0, 0.0, 1.0, 1.0)
+    expected = _first_error(ys, cx, cy, 17)
+    assert expected == (InputError, message)
+    with pytest.raises(InputError) as exc:
+        alpha1(np.array(ys), cx, cy, 17)
+    assert (type(exc.value), str(exc.value)) == expected
+
+
+@pytest.mark.parametrize("ys", [np.ones((2, 2)), np.arange(3), np.float32([1.0])])
+def test_alpha1_block_must_be_1d_float64(ys):
+    with pytest.raises(ValueError):
+        alpha1(ys, (1.0, 1.0), (1.0, 1.0), 17)
+
+
 # -- projection stage ----------------------------------------------------------
 
 def test_alpha2_examples(desk_curve):
