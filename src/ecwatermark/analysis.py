@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .curve import Curve, Point
 from .switching import SwitchingConfig, alpha1
 
 __all__ = ["SweepSpec", "ReferenceSweep", "sensitivity_sweep", "count_entropy",
-           "voronoi_rows"]
+           "grid_coords", "voronoi_rows"]
 
 # voronoi_rows projects as many whole grid rows per nearest_indices call as
 # fit in this many queries (a grid of 181 or less in one call), so its memory
@@ -96,22 +95,23 @@ def sensitivity_sweep(cfg: SwitchingConfig, spec: SweepSpec) -> list[ReferenceSw
     return results
 
 
-def voronoi_rows(curve: Curve, grid: int):
-    """Yield (gx, gy, owner) for a grid x grid sampling of [0, s)^2, one grid
-    row (one gx, every gy) after another.
-
-    Grid coordinates are i*s/grid, so for resolutions that are multiples of
-    s the integer lattice (and thus every seed) is sampled exactly. Whole
-    grid rows are projected together, up to BLOCK_QUERIES cells per call.
-    """
+def grid_coords(s: int, grid: int) -> list[float]:
+    """The axis coordinates i*(s/grid), i < grid, of a grid x grid sampling of
+    [0, s)^2; a grid that is a multiple of s hits every seed exactly."""
     if grid < 1:
         raise ValueError("grid resolution must be positive")
-    step = curve.s / grid
-    points = curve.affine_points()
-    gys = [j * step for j in range(grid)]
+    step = s / grid
+    return [i * step for i in range(grid)]
+
+
+def voronoi_rows(curve: Curve, grid: int):
+    """Yield, for each gx of grid_coords(curve.s, grid), the owners of the
+    cells (gx, gy) for every gy of the same coordinates, as a list of indices
+    into curve.affine_points(). Whole grid rows are projected together, up to
+    BLOCK_QUERIES cells per call."""
+    coords = grid_coords(curve.s, grid)
     per_call = max(1, BLOCK_QUERIES // grid)
     for i in range(0, grid, per_call):
-        gxs = [k * step for k in range(i, min(i + per_call, grid))]
-        owners = curve.nearest_indices(np.repeat(gxs, grid), np.tile(gys, len(gxs))).tolist()
-        for (gx, gy), k in zip(product(gxs, gys), owners):
-            yield gx, gy, points[k]
+        gxs = coords[i:i + per_call]
+        owners = curve.nearest_indices(np.repeat(gxs, grid), np.tile(coords, len(gxs)))
+        yield from owners.reshape(len(gxs), grid).tolist()

@@ -15,13 +15,13 @@ Exit codes: 0 success, 2 configuration error, 3 simulation divergence,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
-from itertools import islice
 from pathlib import Path
 
-from .analysis import SweepSpec, sensitivity_sweep, voronoi_rows
+from .analysis import SweepSpec, grid_coords, sensitivity_sweep, voronoi_rows
 from .curve import Curve
 from .errors import ConfigError, DivergenceError, EcwmError
 from .sim import Scenario, run_scenario
@@ -188,26 +188,23 @@ def cmd_sweep(args) -> int:
 
 def cmd_voronoi(args) -> int:
     curve = Curve(args.a, args.b, args.s)
-    cells = voronoi_rows(curve, args.grid)
-    # the first grid row is projected before any output exists; the grid
-    # coordinates take the same values on both axes, so it holds them all,
-    # and each is formatted once
-    row = list(islice(cells, args.grid))
-    coords = {gy: repr(gy) for _, gy, _ in row}
+    # enumerate before any output exists; format each seed and coordinate once
+    seeds = [f"{p.x},{p.y}\n" for p in curve.affine_points()]
+    coords = grid_coords(curve.s, args.grid)
+    text = [repr(c) for c in coords]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "voronoi.csv"
-    rows = []  # every cell, kept only for the SVG
+    rows = []  # owner indices, kept only for the SVG
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("gx,gy,seed_x,seed_y\n")
         # one grid row per write, so memory does not grow with the grid
-        while row:
-            fh.write("".join([f"{coords[gx]},{coords[gy]},{p.x},{p.y}\n" for gx, gy, p in row]))
+        for gx, row in zip(text, voronoi_rows(curve, args.grid)):
+            fh.write("".join([f"{gx},{gy},{seeds[k]}" for gy, k in zip(text, row)]))
             if args.svg:
-                rows += row
-            row = list(islice(cells, args.grid))
+                rows.append(row)
     if args.svg:
-        svgplot.voronoi_svg(outdir / "voronoi.svg", curve.s, rows,
+        svgplot.voronoi_svg(outdir / "voronoi.svg", curve.affine_points(), curve.s, coords, rows,
                             title=f"nearest-seed partition, F_{curve.s}")
     print(f"wrote {args.grid ** 2} cell assignments to {path}")
     return EXIT_OK
@@ -239,6 +236,7 @@ def cmd_demo(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: building it costs ~10 parse_args calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ecwm",

@@ -53,33 +53,32 @@ def histogram_svg(filename, labels, values, reference_line=None, title=""):
         fh.write("\n".join(parts) + "\n")
 
 
-def voronoi_svg(filename, s, cells, title=""):
-    """Partition map: one colored square per grid cell, seeds as dots.
+def voronoi_svg(filename, points, s, coords, rows, title=""):
+    """Partition map: one colored square per grid cell, owning seeds as dots.
 
-    `cells` is an iterable of (gx, gy, seed_point); colors key on the seed.
+    `coords` are the grid coordinates on either axis, `rows` one list per gx
+    of the owners of the cells (gx, gy) as indices into `points`, the curve's
+    affine points sorted by (x, y); colors key on the owner.
     """
-    cells = list(cells)
-    seeds = sorted({c[2] for c in cells}, key=lambda p: (p.x, p.y))
-    index = {p: i for i, p in enumerate(seeds)}
+    owners = sorted(set().union(*rows))
+    color = {k: _color(i) for i, k in enumerate(owners)}
     side = WIDTH - 2 * MARGIN
-    n = round(len(cells) ** 0.5) or 1
-    cell_px = side / n
+    cell_px = side / len(coords)
     scale = side / s
+    size = f"{cell_px + 0.5:.1f}"
+    ys = [f"{WIDTH - MARGIN - (gy * scale) - cell_px:.1f}" for gy in coords]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{WIDTH}">',
         f'<text x="{WIDTH / 2}" y="20" text-anchor="middle" font-size="14">'
         f"{escape(title)}</text>",
     ]
-    for gx, gy, owner in cells:
-        x = MARGIN + gx * scale
-        y = WIDTH - MARGIN - (gy * scale) - cell_px
-        parts.append(
-            f'<rect x="{x:.1f}" y="{y:.1f}" width="{cell_px + 0.5:.1f}" '
-            f'height="{cell_px + 0.5:.1f}" fill="{_color(index[owner])}"/>'
-        )
-    for p in seeds:
-        x = MARGIN + p.x * scale
-        y = WIDTH - MARGIN - p.y * scale
+    for gx, row in zip(coords, rows):
+        x = f"{MARGIN + gx * scale:.1f}"
+        parts += [f'<rect x="{x}" y="{y}" width="{size}" height="{size}" fill="{color[k]}"/>'
+                  for y, k in zip(ys, row)]
+    for k in owners:
+        x = MARGIN + points[k].x * scale
+        y = WIDTH - MARGIN - points[k].y * scale
         parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="3" fill="black"/>')
     parts.append("</svg>")
     with open(filename, "w", encoding="utf-8") as fh:

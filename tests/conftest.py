@@ -5,12 +5,24 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from ecwatermark import Curve, SwitchingConfig, shipped
+from ecwatermark.analysis import grid_coords, voronoi_rows
 
 settings.register_profile(
     "suite", deadline=None, max_examples=60,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+def voronoi_cells(curve, grid):
+    """(gx, gy, owner point) for every cell of voronoi_rows, row by row; the
+    rows must be grid lists of grid owner indices each."""
+    coords = grid_coords(curve.s, grid)
+    points = curve.affine_points()
+    rows = list(voronoi_rows(curve, grid))
+    assert [len(row) for row in rows] == [grid] * grid
+    return [(gx, gy, points[k]) for gx, row in zip(coords, rows)
+            for gy, k in zip(coords, row)]
 
 
 @pytest.fixture(scope="session")

@@ -9,9 +9,12 @@ from ecwatermark import Curve, Point, SwitchingConfig, alpha1, alpha2
 from ecwatermark.analysis import (
     SweepSpec,
     count_entropy,
+    grid_coords,
     sensitivity_sweep,
     voronoi_rows,
 )
+
+from conftest import voronoi_cells
 
 
 def test_sweep_spec_defaults():
@@ -77,7 +80,8 @@ def test_count_entropy_uniform_case():
 
 
 def test_voronoi_agrees_with_projection(desk_curve):
-    rows = list(voronoi_rows(desk_curve, 20))
+    assert grid_coords(17, 20) == [i * (17 / 20) for i in range(20)]
+    rows = voronoi_cells(desk_curve, 20)
     assert len(rows) == 400
     for gx, gy, owner in rows[::17]:
         assert owner == alpha2((gx, gy), desk_curve)
@@ -85,14 +89,14 @@ def test_voronoi_agrees_with_projection(desk_curve):
 
 def test_voronoi_grid_point_on_seed(desk_curve):
     # resolution 17 samples the integer lattice, hitting every seed exactly
-    rows = {(gx, gy): owner for gx, gy, owner in voronoi_rows(desk_curve, 17)}
+    rows = {(gx, gy): owner for gx, gy, owner in voronoi_cells(desk_curve, 17)}
     for p in desk_curve.affine_points():
         assert rows[(float(p.x), float(p.y))] == p
 
 
 def test_voronoi_cells_nonuniform(desk_curve):
     counts: dict[Point, int] = {}
-    for _, _, owner in voronoi_rows(desk_curve, 34):
+    for _, _, owner in voronoi_cells(desk_curve, 34):
         counts[owner] = counts.get(owner, 0) + 1
     assert len(set(counts.values())) > 1
 
@@ -100,3 +104,5 @@ def test_voronoi_cells_nonuniform(desk_curve):
 def test_voronoi_rejects_bad_grid(desk_curve):
     with pytest.raises(ValueError):
         list(voronoi_rows(desk_curve, 0))
+    with pytest.raises(ValueError):
+        grid_coords(17, -1)

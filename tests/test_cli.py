@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -7,12 +8,12 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ecwatermark import ConfigurationWarning, Curve, Scenario, shipped
-from ecwatermark.analysis import voronoi_rows
 from ecwatermark.cli import build_parser, main
 from ecwatermark.sim import MAX_CALIBRATION_STEPS, MAX_HORIZON
 
@@ -65,10 +66,17 @@ def test_singular_curve_exits_config_error(capsys):
     assert "singular" in capsys.readouterr().err
 
 
-def test_huge_prime_field_exits_capacity_error(capsys):
+@pytest.mark.parametrize("command", ["curve", "voronoi"])
+def test_huge_prime_field_exits_capacity_error(tmp_path, capsys, command):
     # 2^61 - 1 is prime: primality must be settled fast, then enumeration refused
-    assert main(["curve", "--s", "2305843009213693951", "--a", "1", "--b", "1"]) == 2
+    out = tmp_path / "out"
+    argv = [command, "--s", "2305843009213693951", "--a", "1", "--b", "1"]
+    if command == "voronoi":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
     assert "enumeration bound" in capsys.readouterr().err
+    # the field is refused before any output exists
+    assert not out.exists()
 
 
 # -- switch-eval ------------------------------------------------------------------
@@ -200,10 +208,16 @@ def test_voronoi_export(tmp_path):
 
 
 def voronoi_csv_per_cell(curve, grid):
-    """The per-cell writer of voronoi.csv, kept as the byte oracle."""
+    """voronoi.csv written cell by cell at (i * (s / grid), j * (s / grid)),
+    the byte oracle. The whole grid is projected in one nearest_indices call,
+    bit-identical to nearest_affine per cell and a few seconds faster."""
+    step = curve.s / grid
+    cells = [(i * step, j * step) for i in range(grid) for j in range(grid)]
+    owners = curve.nearest_indices(*np.array(cells).T).tolist()
+    points = curve.affine_points()
     lines = ["gx,gy,seed_x,seed_y\n"]
-    for gx, gy, owner in voronoi_rows(curve, grid):
-        lines.append(f"{gx!r},{gy!r},{owner.x},{owner.y}\n")
+    for (gx, gy), k in zip(cells, owners):
+        lines.append(f"{gx!r},{gy!r},{points[k].x},{points[k].y}\n")
     return "".join(lines).encode()
 
 
@@ -217,6 +231,25 @@ def test_voronoi_csv_equals_per_cell_writer(tmp_path, capsys, s, a, b, grid):
     assert main(["voronoi", "--s", str(s), "--a", str(a), "--b", str(b),
                  "--grid", str(grid), "--out", str(out)]) == 0
     assert (out / "voronoi.csv").read_bytes() == voronoi_csv_per_cell(Curve(a, b, s), grid)
+
+
+@pytest.mark.parametrize("argv, name, digest", [
+    (["voronoi", "--s", "17", "--a", "2", "--b", "2", "--grid", "17"], "voronoi.svg",
+     "aeba413b65e5732958f3621c9cfbcaf944fb3b3893ea361f857ae88825d508be"),
+    (["voronoi", "--s", "307", "--a", "2", "--b", "3", "--grid", "100"], "voronoi.svg",
+     "c61579b00f9325a9b24923eca77488f774e39dde6257564a6017e7a13e289f83"),
+    # two of the 95 seeds own no cell of this grid, so colors are not seed indices
+    (["voronoi", "--s", "101", "--a", "2", "--b", "3", "--grid", "17"], "voronoi.svg",
+     "8733deac788609ca8f0c4b13579618869ef4d2c86d683bcef4b3a84930700bcc"),
+    (["sweep", "--config", "demo_config.json", "--refs", "0,1,10,100", "--n", "500",
+      "--halfwidth", "0.05", "--seed", "1"], "sweep_r10.svg",
+     "2e01e9e4cf05e954895eb6ade50102d81dd07b0770b9cc43cd2da02d8b947bbd"),
+], ids=["voronoi-17", "voronoi-307", "voronoi-101", "sweep-r10"])
+def test_svg_bytes_are_pinned(tmp_path, monkeypatch, capsys, demo_config_file, argv, name,
+                              digest):
+    monkeypatch.chdir(demo_config_file.parent)
+    assert main([*argv, "--out", "out", "--svg"]) == 0
+    assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
 
 
 def _voronoi_peak_bytes(tmp_path, grid):

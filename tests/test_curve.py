@@ -14,8 +14,9 @@ from ecwatermark import (
     InputError,
     Point,
 )
-from ecwatermark.analysis import voronoi_rows
 from ecwatermark.curve import BLOCK_DISTANCES
+
+from conftest import voronoi_cells
 
 P51 = Point(5, 1)
 
@@ -334,7 +335,7 @@ def test_nearest_affine_scan_oracle(oracle_curves):
 
 def test_nearest_affine_scan_oracle_on_voronoi_grid():
     curve = Curve(2, 3, 307)
-    for gx, gy, owner in voronoi_rows(curve, 100):
+    for gx, gy, owner in voronoi_cells(curve, 100):
         assert owner == nearest_by_scan(curve, gx, gy)
 
 
@@ -413,7 +414,7 @@ def test_nearest_affine_scan_oracle_on_bucket_edges(large_curve):
 
 
 def test_nearest_affine_scan_oracle_on_large_voronoi_grid(large_curve):
-    rows = list(voronoi_rows(large_curve, 50))
+    rows = voronoi_cells(large_curve, 50)
     for gx, gy, owner in rows:
         assert owner == nearest_by_scan(large_curve, gx, gy)
     # the list scan checks the numpy oracle on a fixed sample of 125 queries
