@@ -5,13 +5,13 @@ modular inversion (pow(v, -1, s)) per operation is cheap, and the
 chord-and-tangent case analysis stays easy to audit. The identity is the
 point at infinity O. Points are enumerated from field.root_table, the one
 table of square roots mod s, so its enumeration bound is the curve's too;
-one point's order comes from the factorized group order and every point's
-from walks of cyclic subgroups (point_orders); the nearest
-affine point to a real query is an exact float64 search over one band of
-x-columns around the query, with the whole curve as the fallback. One scan,
-_squared_distances, holds the projection's float operations; nearest_index
-runs it for one query and nearest_indices for blocks of queries, so the two
-entry points cannot disagree.
+point orders come from walks of cyclic subgroups, one point's (point_order)
+or every point's (point_orders); the nearest affine point to a real query is
+an exact float64 search over one band of x-columns around the query, with
+the whole curve as the fallback. One scan, _squared_distances, holds the
+projection's float operations; nearest_index runs it for one query and
+nearest_indices for blocks of queries, so the two entry points cannot
+disagree.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -209,26 +208,24 @@ class Curve:
     def order(self) -> int:
         return len(self.affine_points()) + 1
 
-    @cached_property
-    def _order_primes(self) -> list[int]:
-        """Distinct prime divisors of the group order; O(N) once per curve."""
-        n = self.order()
-        return [q for q in range(2, n + 1) if n % q == 0 and is_prime(q)]
+    def _multiples(self, p: Point) -> list[Point]:
+        """[p, 2p, ..., (m-1)p] for an affine point p of order m: p added to
+        itself until the sum is O, at most N additions (N affine points)."""
+        walk = [p]
+        while not (q := self._add(walk[-1], p)).is_infinity:
+            walk.append(q)
+        return walk
 
     def point_order(self, p: Point) -> int:
         """Smallest n >= 1 with n*p = O; the order of O itself is 1.
 
-        Starts from the group order (a multiple of every point order) and
-        strips each prime factor q while (n/q)*p is still O: a few
-        scalar_mul calls for one point. For the order of every point,
-        point_orders is far cheaper.
+        Walks the cyclic subgroup of p: n - 1 additions for one point. For
+        the order of every point, point_orders is far cheaper.
         """
         self._require_on_curve(p)
-        n = self.order()
-        for q in self._order_primes:
-            while n % q == 0 and self.scalar_mul(n // q, p).is_infinity:
-                n //= q
-        return n
+        if p.is_infinity:
+            return 1
+        return len(self._multiples(p)) + 1
 
     def point_orders(self) -> dict[Point, int]:
         """{P: point_order(P)} for every affine point, in affine_points() order.
@@ -245,16 +242,14 @@ class Curve:
         lie inside <P'>, and P would have its order already. So each walk
         assigns at least phi(m) points for fewer than m additions. Within the
         enumeration bound every order is below 30030 = 2*3*5*7*11*13, so
-        m/phi(m) is at most 2310/phi(2310) = 4.8125, against about 60
+        m/phi(m) is at most 2310/phi(2310) = 4.8125, against m - 1
         additions per point for point_order.
         """
         orders = dict.fromkeys(self.affine_points(), 0)
         for p in orders:
             if orders[p]:
                 continue
-            walk = [p]
-            while not (q := self._add(walk[-1], p)).is_infinity:
-                walk.append(q)
+            walk = self._multiples(p)
             m = len(walk) + 1
             for k, q in enumerate(walk, 1):
                 if not orders[q]:

@@ -41,7 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, InputError, ParameterError
-from .switching import SwitchingConfig, _integer, _number, _numbers, admissible_taps, sigma
+from .switching import SwitchingConfig, _integer, _json_document, _number, _numbers
+from .switching import admissible_taps, sigma
 from .watermark import fir_step
 
 log = logging.getLogger(__name__)
@@ -468,11 +469,8 @@ class Scenario:
             )
 
     @classmethod
-    def from_json(cls, text: str, path: str = "scenario") -> "Scenario":
-        try:
-            data = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
-            raise ConfigError(f"invalid JSON: {exc}", path=path) from exc
+    def from_json(cls, text: str | bytes, path: str = "scenario") -> "Scenario":
+        data = _json_document(text, path)
         scenario = cls.from_dict(data, path=path)
         # the parsed object has no other holder, so it is kept without a copy
         wm = data.get("watermark")
@@ -484,7 +482,7 @@ class Scenario:
 
     @classmethod
     def load(cls, filename) -> "Scenario":
-        with open(filename, "r", encoding="utf-8") as fh:
+        with open(filename, "rb") as fh:
             return cls.from_json(fh.read(), path=str(filename))
 
 

@@ -155,6 +155,16 @@ def _numbers(value, path) -> tuple[float, ...]:
     return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
+def _json_document(data: str | bytes, path: str):
+    """The JSON document in data, text or UTF-8 bytes. Bytes that are not
+    UTF-8, invalid JSON (a BOM too, an integer past int's digit limit) and
+    nesting too deep for the parser raise ConfigError at path."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise ConfigError(f"invalid JSON: {exc}", path=path) from exc
+
+
 # squashed second tap never exceeds this in magnitude
 _B1_CAP = 1.0 - 2.0**-20
 
@@ -421,16 +431,12 @@ class SwitchingConfig:
         }
 
     @classmethod
-    def from_json(cls, text: str, path: str = "config") -> "SwitchingConfig":
-        try:
-            data = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
-            raise ConfigError(f"invalid JSON: {exc}", path=path) from exc
-        return cls.from_dict(data, path=path)
+    def from_json(cls, text: str | bytes, path: str = "config") -> "SwitchingConfig":
+        return cls.from_dict(_json_document(text, path), path=path)
 
     @classmethod
     def load(cls, filename) -> "SwitchingConfig":
-        with open(filename, "r", encoding="utf-8") as fh:
+        with open(filename, "rb") as fh:
             return cls.from_json(fh.read(), path=str(filename))
 
 

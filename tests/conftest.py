@@ -25,6 +25,26 @@ def voronoi_cells(curve, grid):
             for gy, k in zip(coords, row)]
 
 
+def order_by_factor_stripping(curve, p):
+    """Reference point order: start from the group order, a multiple of every
+    point's order, and divide out each prime factor q of it while (n/q)*p is
+    still O. The primes come from trial division of the group order."""
+    n = rest = curve.order()
+    primes, q = [], 2
+    while q * q <= rest:
+        if rest % q == 0:
+            primes.append(q)
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    if rest > 1:
+        primes.append(rest)
+    for q in primes:
+        while n % q == 0 and curve.scalar_mul(n // q, p).is_infinity:
+            n //= q
+    return n
+
+
 @pytest.fixture(scope="session")
 def desk_curve():
     return Curve(2, 2, 17)

@@ -17,7 +17,7 @@ from ecwatermark import ConfigurationWarning, Curve, Scenario, shipped
 from ecwatermark.cli import build_parser, main
 from ecwatermark.sim import MAX_CALIBRATION_STEPS, MAX_HORIZON
 
-from conftest import JSON_LIKE, leaf_paths
+from conftest import JSON_LIKE, leaf_paths, order_by_factor_stripping
 
 
 @pytest.fixture()
@@ -58,7 +58,7 @@ def test_curve_orders_equal_per_point_order(capsys, s, a, b):
     payload = json.loads(capsys.readouterr().out)
     curve = Curve(a, b, s)
     assert [(p["x"], p["y"], p["order"]) for p in payload["points"]] == [
-        (p.x, p.y, curve.point_order(p)) for p in curve.affine_points()]
+        (p.x, p.y, order_by_factor_stripping(curve, p)) for p in curve.affine_points()]
 
 
 def test_singular_curve_exits_config_error(capsys):
@@ -264,8 +264,12 @@ def _voronoi_peak_bytes(tmp_path, grid):
 
 def test_voronoi_memory_does_not_grow_with_grid(tmp_path, capsys):
     _voronoi_peak_bytes(tmp_path, 10)  # the field's root table and imports
+    small, large = _voronoi_peak_bytes(tmp_path, 200), _voronoi_peak_bytes(tmp_path, 400)
     # holding every cell, line and the joined text made the peak grow 4x
-    assert _voronoi_peak_bytes(tmp_path, 400) < 2 * _voronoi_peak_bytes(tmp_path, 200)
+    assert large < 2 * small
+    # the 400 x 400 owner indices are 1.28 MB of 8-byte list slots; kept
+    # without --svg they grew the peak by 1.41 MB (0.39 MB when dropped)
+    assert large - small < 400 * 400 * 8 // 2
 
 
 # -- sim ---------------------------------------------------------------------------------
@@ -410,6 +414,23 @@ def test_oversized_json_integer_exits_config_error(tmp_path, capsys, command, fi
     assert main(argv) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# a UTF-8 BOM is invalid JSON too, as json.loads has it
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000, b"\xef\xbb\xbf{}"],
+                         ids=["not-utf8", "nested-too-deep", "utf8-bom"])
+@pytest.mark.parametrize("argv", [
+    ["sim", "--scenario", "FILE", "--out", "OUT"],
+    ["sweep", "--config", "FILE", "--out", "OUT"],
+    ["switch-eval", "--config", "FILE", "--y", "1.0"],
+], ids=lambda argv: argv[0])
+def test_malformed_file_exits_config_error(tmp_path, capsys, argv, content):
+    path, out = tmp_path / "input.json", tmp_path / "out"
+    path.write_bytes(content)
+    argv = [{"FILE": str(path), "OUT": str(out)}.get(arg, arg) for arg in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {path}:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("theta0", ["auto", [1.0, 0.0, 0.0]])

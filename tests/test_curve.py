@@ -16,7 +16,7 @@ from ecwatermark import (
 )
 from ecwatermark.curve import BLOCK_DISTANCES
 
-from conftest import voronoi_cells
+from conftest import order_by_factor_stripping, voronoi_cells
 
 P51 = Point(5, 1)
 
@@ -277,8 +277,31 @@ def test_point_order_matches_repeated_addition_mod_307():
 ])
 def test_point_orders_equal_point_order(a, b, s):
     curve = Curve(a, b, s)
+    points = curve.affine_points()
     assert list(curve.point_orders().items()) == [
-        (p, curve.point_order(p)) for p in curve.affine_points()]
+        (p, order_by_factor_stripping(curve, p)) for p in points]
+    # point_order walks up to N additions per point, so it gets a sample
+    for p in random.Random(s).sample(points, 12):
+        assert curve.point_order(p) == order_by_factor_stripping(curve, p)
+
+
+def test_point_order_of_unreduced_coordinates():
+    curve = Curve(2, 3, 307)
+    for p in [Point(3, 301), Point(3 + 307, 301), Point(3 - 307, 301 - 2 * 307)]:
+        assert curve.point_order(p) == 155
+        assert curve.cofactor(p) == 2
+    assert curve.point_order(INFINITY) == 1
+    assert curve.cofactor(INFINITY) == 310
+
+
+def test_point_order_rejects_off_curve_point():
+    curve = Curve(2, 3, 307)
+    # (0, 0) lies on y^2 = x^3 + 2x, where the addition formulas (which never
+    # read b) give it order 2: only the membership check stops it
+    with pytest.raises(ValueError, match="not on"):
+        curve.point_order(Point(0, 0))
+    with pytest.raises(ValueError, match="not on"):
+        curve.cofactor(Point(0, 0))
 
 
 def _totient(m):
