@@ -42,6 +42,7 @@ from .switching import (
     eta1,
     eta2,
     sigma,
+    sigma_block,
     sigma_detail,
     validate_theta,
 )

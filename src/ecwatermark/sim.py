@@ -6,16 +6,27 @@ controller. Within one sample the order is fixed and documented:
 
 1. pending parameter switches apply (between samples, driven by the
    previous sample's signals: the generator keys on its last plant output,
-   the remover on its last reconstructed output);
+   the remover on its last reconstructed output); the distinct keys of a
+   step are derived in one block (`sigma_block`);
 2. plant output with measurement noise;
 3. generator modulates; the attacker may rewrite the channel value;
    remover demodulates;
-4. detector residual and alarm test against the (constant) threshold;
+4. detector residual; the alarm test against the (constant) threshold runs
+   over the finished residual column;
 5. controller output, then all state updates with process noise. The
    run's noise is drawn in blocks of steps whose row k is (v_k, w_k), in the
    stream order of a per-step draw: measurement noise first, then process
    noise;
 6. triggers are evaluated on this sample's signals for the next step.
+
+The detector is an observer: nothing in the loop reads its state or
+residual. So the per-step loop steps only the feedback path (items 1-3, the
+controller and the plant and controller states, and 6), writing each step's
+signals into buffers for a block of steps, and the detector then runs over
+the block in one pass (`_observe`): the same products in the same order, so
+every residual and state is the per-step one bit for bit. Its divergence
+guard is merged with the loop's, so a batch reports the step, row and block
+that a per-step guard would have (see `run_batch`).
 
 Runs step in lockstep: `run_batch` advances R runs, one per seed, together
 on states stacked as (R, n, 1) arrays, and a single run is a batch of one.
@@ -40,9 +51,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, InputError, ParameterError
-from .switching import SwitchingConfig, _integer, _json_document, _number, _numbers
-from .switching import admissible_taps, sigma
+from .errors import ConfigError, DivergenceError, EcwmError, InputError, ParameterError
+from .switching import SwitchingConfig, _check_keys, _integer, _json_document, _number, _numbers
+from .switching import admissible_taps, sigma, sigma_block
 from .watermark import fir_step
 
 log = logging.getLogger(__name__)
@@ -64,10 +75,16 @@ MAX_CALIBRATION_RUNS = 1000
 # residual column to 80 MB.
 MAX_CALIBRATION_STEPS = 10**7
 
-# Noise values drawn at once across a batch: one numpy call per run and block
-# keeps the draw cheap, and the fixed budget bounds the block's memory (2 MB)
-# whatever the horizon, the number of runs or the plant's order.
+# Values a lockstep batch holds at once besides its trace columns (2 MB),
+# whatever the horizon, the number of runs or the orders of plant, controller
+# and detector: a block of steps' noise and, in 1/STEP_BLOCK_SHARE of them,
+# the buffers of a shorter block of steps' signals. One numpy call per run
+# draws a noise block, and one detector pass serves a signal block, so each
+# block spreads a fixed cost. Past NOISE_BLOCK_STEPS steps a draw's is spread
+# thin already, and a longer noise block would only hold memory.
 NOISE_BLOCK_VALUES = 1 << 18
+STEP_BLOCK_SHARE = 32
+NOISE_BLOCK_STEPS = 1024
 
 # Rows SimTrace.to_csv converts to Python values at once: enough to spread
 # the per-block numpy calls, few enough that a 10^6-step trace is written
@@ -91,9 +108,12 @@ __all__ = [
 ]
 
 
-def _require_mapping(value, path):
+def _require_mapping(value, path, keys=None):
+    """A section that is a JSON object and, given `keys`, holds no other key."""
     if not isinstance(value, dict):
         raise ConfigError("section must be a JSON object", path=path)
+    if keys is not None:
+        _check_keys(value, keys, path)
     return value
 
 
@@ -141,6 +161,10 @@ class NoiseSpec:
             return cls()
         _require_mapping(data, path)
         kind = data.get("kind", "none")
+        fields = {"none": (), "uniform": ("low", "high"), "normal": ("mean", "std")}
+        if not isinstance(kind, str) or kind not in fields:
+            raise ConfigError(f"unknown noise kind {kind!r}", path=path)
+        _check_keys(data, ("kind", *fields[kind]), path)
         if kind == "none":
             return cls()
         if kind == "uniform":
@@ -151,13 +175,11 @@ class NoiseSpec:
             if not all(math.isfinite(h - l) for l, h in zip(low.tolist(), high.tolist())):
                 raise ConfigError("high - low must be finite", path=f"{path}.high")
             return cls("uniform", (tuple(low), tuple(high)))
-        if kind == "normal":
-            mean = _vector(data.get("mean"), dim, f"{path}.mean")
-            std = _vector(data.get("std"), dim, f"{path}.std")
-            if np.any(std < 0):
-                raise ConfigError("std must be non-negative", path=path)
-            return cls("normal", (tuple(mean), tuple(std)))
-        raise ConfigError(f"unknown noise kind {kind!r}", path=path)
+        mean = _vector(data.get("mean"), dim, f"{path}.mean")
+        std = _vector(data.get("std"), dim, f"{path}.std")
+        if np.any(std < 0):
+            raise ConfigError("std must be non-negative", path=path)
+        return cls("normal", (tuple(mean), tuple(std)))
 
 @dataclass
 class PlantModel:
@@ -172,7 +194,7 @@ class PlantModel:
 
     @classmethod
     def from_dict(cls, d, path="plant") -> "PlantModel":
-        _require_mapping(d, path)
+        _require_mapping(d, path, ("A", "B", "C", "x0", "process_noise", "measurement_noise"))
         A = _square(d.get("A"), f"{path}.A")
         n = A.shape[0]
         return cls(
@@ -196,7 +218,7 @@ class ControllerModel:
 
     @classmethod
     def from_dict(cls, d, n_u, path="controller") -> "ControllerModel":
-        _require_mapping(d, path)
+        _require_mapping(d, path, ("A", "B", "C", "D", "x0"))
         A = _square(d.get("A"), f"{path}.A")
         nc = A.shape[0]
         B = _matrix(d.get("B"), nc, 1, f"{path}.B")
@@ -222,7 +244,7 @@ class ThresholdSpec:
     def from_dict(cls, d, path="detector.threshold") -> "ThresholdSpec":
         if d is None:
             return cls()
-        _require_mapping(d, path)
+        _require_mapping(d, path, ("mode", "value", "runs", "quantile", "safety", "floor"))
         mode = d.get("mode", "calibrate")
         if mode not in ("fixed", "calibrate"):
             raise ConfigError(f"unknown threshold mode {mode!r}", path=path)
@@ -259,7 +281,7 @@ class DetectorModel:
 
     @classmethod
     def from_dict(cls, d, n_u, path="detector") -> "DetectorModel":
-        _require_mapping(d, path)
+        _require_mapping(d, path, ("A", "B", "K", "C", "L", "x0", "threshold"))
         A = _square(d.get("A"), f"{path}.A")
         nr = A.shape[0]
         B = _matrix(d.get("B"), nr, n_u, f"{path}.B")
@@ -289,7 +311,7 @@ class AttackSpec:
     def from_dict(cls, d, path="attack") -> "AttackSpec":
         if d is None:
             return cls()
-        _require_mapping(d, path)
+        _require_mapping(d, path, ("kind", "start", "window", "magnitude"))
         kind = d.get("kind", "none")
         if kind not in ("none", "replay", "bias"):
             raise ConfigError(f"unknown attack kind {kind!r}", path=path)
@@ -350,7 +372,7 @@ class WatermarkSetup:
         """None (no watermark) for a missing section or `"enabled": false`."""
         if d is None:
             return None
-        _require_mapping(d, path)
+        _require_mapping(d, path, ("enabled", "config", "protocol", "theta0"))
         enabled = d.get("enabled", True)
         if not isinstance(enabled, bool):
             raise ConfigError(f"expected true or false, got {enabled!r}", path=f"{path}.enabled")
@@ -360,7 +382,7 @@ class WatermarkSetup:
             raise ConfigError("missing switching configuration", path=f"{path}.config")
         config = SwitchingConfig.from_dict(d["config"], path=f"{path}.config")
         proto = _require_mapping(d.get("protocol", {"trigger": "periodic", "period": 50}),
-                                 f"{path}.protocol")
+                                 f"{path}.protocol", ("trigger", "period", "bound"))
         trigger = proto.get("trigger", "periodic")
         if trigger not in ("periodic", "threshold", "none"):
             raise ConfigError(f"unknown trigger {trigger!r}", path=f"{path}.protocol")
@@ -422,6 +444,8 @@ class Scenario:
     def from_dict(cls, data: dict, path: str = "scenario") -> "Scenario":
         if not isinstance(data, dict):
             raise ConfigError("scenario must be a JSON object", path=path)
+        _check_keys(data, ("horizon", "seed", "plant", "controller", "detector", "watermark",
+                           "attack"), path)
         for key in ("plant", "controller", "detector"):
             if key not in data:
                 raise ConfigError("missing required section", path=f"{path}.{key}")
@@ -675,28 +699,73 @@ def run_batch(scenario: Scenario, seeds, *, horizon: int | None = None,
     ]
 
 
-# trace columns the loop writes: one (R, 1, 1) entry of each per step
+# trace columns of the run rows, each (horizon, runs, 1, 1); the loop writes
+# y_w per step (replay reads it back), a block pass the others per block
 _COLUMNS = ("y_p", "y_w", "y_w_tilde", "y_q", "u", "y_r")
 
 
-def _check_step(k: int, signals, states) -> None:
-    """The guard behind a failed pre-test at step k. For the lowest run index
-    that fails, raise InputError for a non-finite watermark input (as
-    WatermarkUnit.step does), else DivergenceError for its first state block
-    beyond STATE_OVERFLOW or non-finite."""
-    peaks = [np.abs(x).max(axis=(1, 2)) for x in states]
-    failing = [~np.isfinite(s).ravel() for s in signals] + [~(p <= STATE_OVERFLOW) for p in peaks]
+def _check_step(k: int, signals, states: dict) -> InputError | DivergenceError | None:
+    """The error behind a failed pre-test at step k, or None when no row
+    fails. `states` maps block names to (R, n, 1) states, in plant,
+    controller, detector order. For the lowest row index that fails, the
+    error is InputError for a non-finite watermark input (as
+    WatermarkUnit.step raises), else DivergenceError for its first state
+    block beyond STATE_OVERFLOW or non-finite."""
+    peaks = {name: np.abs(x).max(axis=(1, 2)) for name, x in states.items()}
+    failing = [~np.isfinite(s).ravel() for s in signals]
+    failing += [~(p <= STATE_OVERFLOW) for p in peaks.values()]
     runs = np.flatnonzero(np.any(failing, axis=0))
     if not runs.size:
-        return
+        return None
     i = runs[0]
     for signal in signals:
         value = float(signal[i, 0, 0])
         if not math.isfinite(value):
-            raise InputError(f"sample must be finite, got {value!r}")
-    for name, peak in zip(("plant", "controller", "detector"), peaks):
+            return InputError(f"sample must be finite, got {value!r}")
+    for name, peak in peaks.items():
         if not peak[i] <= STATE_OVERFLOW:
-            raise DivergenceError(name, k, float(peak[i]))
+            return DivergenceError(name, k, float(peak[i]))
+    return None
+
+
+def _block_rows(n_rows: int, noise_width: int, signal_width: int) -> tuple[int, int]:
+    """Steps per signal block and per noise block, a whole number of signal
+    blocks, for a batch of n_rows rows whose steps hold noise_width noise
+    values and signal_width signal values per row: within NOISE_BLOCK_VALUES
+    together, unless a single step's values exceed it."""
+    steps = max(1, NOISE_BLOCK_VALUES // (STEP_BLOCK_SHARE * n_rows * signal_width))
+    noise = (NOISE_BLOCK_VALUES - steps * n_rows * signal_width) // (n_rows * noise_width)
+    noise = max(1, min(noise, NOISE_BLOCK_STEPS))
+    steps = min(steps, noise)
+    return steps, noise - noise % steps
+
+
+def _observe(det: DetectorModel, x_r, u, y_q, y_r, scratch) -> np.ndarray:
+    """Run the detector over a block of n steps, given the block's inputs u
+    (n, R, n_u, 1) and y_q (n, R, 1, 1); returns each step's peak |state|
+    per row, (n, R).
+
+    x_r (n + 1, R, n_r, 1) holds the state at the block's start in x_r[0]
+    and receives the state after step j in x_r[j + 1]; y_r (n, R, 1, 1)
+    receives the residuals; scratch (n, R, n_r, 1) is overwritten. Every
+    product is the per-step one: a stacked matmul rounds each row as the
+    single product does, and the recursion keeps the per-step association
+    (A x_r + B u) + K y_q.
+    """
+    matmul = np.matmul
+    n_r = x_r.shape[2]
+    # B u goes into each next state's slot, then A x_r is added to it (IEEE
+    # addition commutes, so the sum is A x_r + B u bit for bit)
+    matmul(det.B, u.reshape(-1, u.shape[2], 1), out=x_r[1:].reshape(-1, n_r, 1))
+    np.multiply(det.K, y_q, out=scratch)
+    a_x = np.empty_like(x_r[0])
+    for x, x_next, k_y in zip(x_r[:-1], x_r[1:], scratch):
+        x_next += matmul(det.A, x, out=a_x)
+        x_next += k_y
+    matmul(det.C, x_r[:-1].reshape(-1, n_r, 1), out=y_r.reshape(-1, 1, 1))
+    l_y = scratch.reshape(-1)[:y_q.size].reshape(y_q.shape)
+    y_r += np.multiply(float(det.L[0, 0]), y_q, out=l_y)
+    return np.abs(x_r[1:], out=scratch).max(axis=(2, 3))
 
 
 # a state that overflows is reported by the divergence guard, not by numpy
@@ -709,8 +778,15 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
     seed, so the threshold is reproducible whatever the run seeds. Returns
     the runs' trace columns as (horizon, R) arrays, their (horizon, R) switch
     flags and, per run, its sparse tap record and its generator and remover
-    trigger times; then the calibrated threshold, or None. Besides the
-    columns, the loop holds one block of about NOISE_BLOCK_VALUES noise values.
+    trigger times; then the calibrated threshold, or None.
+
+    The steps go in blocks. Within a block the loop steps only the feedback
+    path (plant output, generator, attack, remover, controller and plant
+    state) and writes its signals into block buffers; the detector, which
+    feeds nothing back, then runs over the whole block (`_observe`), and
+    the block's rows go to the columns. Besides the columns and the
+    calibration residual, the loop holds about NOISE_BLOCK_VALUES values:
+    the block's noise and its buffers.
     """
     plant, ctrl, det = scenario.plant, scenario.controller, scenario.detector
     wm, attack, spec = scenario.watermark, scenario.attack, det.threshold
@@ -722,12 +798,21 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
     matmul = np.matmul
 
     # states stacked as (R, n, 1): see the module docstring for why
-    x_p, x_c, x_r = (np.tile(x0[:, None], (n_rows, 1, 1)) for x0 in (plant.x0, ctrl.x0, det.x0))
-    c_p, c_r, l_r = plant.C, det.C, float(det.L[0, 0])
+    x_p, x_c = (np.tile(x0[:, None], (n_rows, 1, 1)) for x0 in (plant.x0, ctrl.x0))
+    c_p = plant.C
+    n_u, n_r = plant.B.shape[1], det.A.shape[0]
     width = 1 + plant.A.shape[0]
-    block_rows = max(1, NOISE_BLOCK_VALUES // (n_rows * width))
-    noise = [_noise_chunks(np.random.default_rng(seed), plant, horizon, block_rows)
+    # per row and step the signal buffers hold y_p, y_w_tilde, y_q, y_r, u,
+    # the detector state and K y_q
+    block_rows, noise_rows = _block_rows(n_rows, width, 4 + n_u + 2 * n_r)
+    noise = [_noise_chunks(np.random.default_rng(seed), plant, horizon, noise_rows)
              for seed in all_seeds]
+    block = np.empty((min(noise_rows, horizon), n_rows, width))
+    size = min(block_rows, horizon)
+    yp_blk, ywt_blk, yq_blk, yr_blk = (np.empty((size, n_rows, 1, 1)) for _ in range(4))
+    u_blk = np.empty((size, n_rows, n_u, 1))
+    xr_blk, scratch = np.empty((size + 1, n_rows, n_r, 1)), np.empty((size, n_rows, n_r, 1))
+    xr_blk[0] = det.x0[:, None]
 
     cols = {name: np.zeros((horizon, n_runs, 1, 1)) for name in _COLUMNS}
     residual = np.zeros((horizon, n_rows - n_runs, 1, 1))
@@ -750,27 +835,36 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
     replay_deferred_logged = False
 
     for start in range(0, horizon, block_rows):
-        # every row's next noise block side by side: (rows, R, 1 + n_x)
+        if start % noise_rows == 0:
+            # every row's next noise block side by side: (rows, R, 1 + n_x)
+            for i, stream in enumerate(noise):
+                chunk = next(stream)
+                block[:len(chunk), i] = chunk
         rows = min(block_rows, horizon - start)
-        block = np.empty((rows, n_rows, width))
-        for i, stream in enumerate(noise):
-            block[:, i] = next(stream)
-        v, w = block[:, :, :1, None], block[:, :, 1:, None]
-        c_yp, c_yw, c_ywt, c_yq, c_u, c_yr, c_res = (
-            column[start:start + rows] for column in (*map(cols.get, _COLUMNS), residual))
+        at = start % noise_rows
+        v, w = block[at:at + rows, :, :1, None], block[at:at + rows, :, 1:, None]
+        # the loop's error, the index of a step whose guard it comes from, and
+        # the number of steps whose detector inputs the buffers hold
+        failure, guard, done = None, -1, rows
 
-        for j in range(rows):
+        steps = zip(yp_blk, ywt_blk, yq_blk, u_blk, v, w, history[start:start + rows])
+        for j, (y_p, ywt_j, yq_j, u, v_j, w_j, yw_j) in enumerate(steps):
             k = start + j
 
             # 1. apply pending switches (between samples); each distinct key is
-            # derived once, and sigma checked its taps when it stored them
+            # derived once, in one block, and sigma checked its taps when it stored them
             if pend_w or pend_q:
-                derived = {}
+                keys = list(dict.fromkeys([*pend_w.values(), *pend_q.values()]))
+                try:
+                    derived = {key: theta.taps
+                               for key, theta in zip(keys, sigma_block(np.array(keys), wm.config))}
+                except EcwmError as exc:
+                    # raised below, unless the detector diverged at an earlier step
+                    failure, done = exc, j
+                    break
                 for pend, table in ((pend_w, table_w), (pend_q, table_q)):
-                    for i, signal in pend.items():
-                        if signal not in derived:
-                            derived[signal] = sigma(signal, wm.config).taps
-                        table[:, i, 0, 0] = derived[signal]
+                    if pend:
+                        table[:, list(pend), 0, 0] = np.array([derived[y] for y in pend.values()]).T
                 for i in sorted(pend_w.keys() | pend_q.keys()):
                     switch[k, i] = True
                     _, held_w, held_q = tap_record[i][-1]  # the taps in force
@@ -778,12 +872,13 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
                                           derived[pend_q[i]] if i in pend_q else held_q))
                 pend_w, pend_q = {}, {}
 
-            # 2. plant output
-            y_p = matmul(c_p, x_p) + v[j]
+            # 2. plant output, in place in the block buffer
+            matmul(c_p, x_p, out=y_p)
+            y_p += v_j
 
             # 3. watermark, channel, attack, remover
             y_w = y_p if wm is None else fir_step(b_w, reg_w, y_p, True)
-            c_yw[j] = y_w[run]
+            yw_j[...] = y_w[run]
             y_wt, deferred = apply_attack(y_w, history, attack, k, n_runs)
             if deferred and not replay_deferred_logged:
                 log.warning(
@@ -791,39 +886,69 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
                     k, attack.window - k,
                 )
                 replay_deferred_logged = True
+            ywt_j[...] = y_wt
             if wm is None:
                 y_q = y_wt
             else:
                 y_q = fir_step(b_q, reg_q, y_wt, False)
                 reg_w, reg_q = (y_p,) + reg_w[:-1], (y_q,) + reg_q[:-1]
+            yq_j[...] = y_q
 
-            # 4. detector residual (the alarm test runs over the whole column afterwards)
-            y_r = matmul(c_r, x_r) + l_r * y_q
+            # 4. the detector runs over the whole block below
 
             # 5. controller output and state updates
-            u = matmul(ctrl.C, x_c) + ctrl.D * y_q
-            x_p = matmul(plant.A, x_p) + matmul(plant.B, u) + w[j]
+            matmul(ctrl.C, x_c, out=u)
+            u += ctrl.D * y_q
+            x_p = matmul(plant.A, x_p) + matmul(plant.B, u) + w_j
             x_c = matmul(ctrl.A, x_c) + ctrl.B * y_q
-            x_r = matmul(det.A, x_r) + matmul(det.B, u) + det.K * y_q
             # exact pre-test: the batch's sum of squares stays within the squared
             # bound only if every entry is finite and within STATE_OVERFLOW. Past
             # it, each block's peak tells whether any run fails before the guard
             # looks for the run: many runs within the bound can sum past it.
-            if not (np.vdot(x_p, x_p) + np.vdot(x_c, x_c) + np.vdot(x_r, x_r) <= STATE_OVERFLOW_SQ
-                    or all(np.abs(x).max() <= STATE_OVERFLOW for x in (x_p, x_c, x_r))):
-                _check_step(k, () if wm is None else (y_p, y_wt), (x_p, x_c, x_r))
+            if not (np.vdot(x_p, x_p) + np.vdot(x_c, x_c) <= STATE_OVERFLOW_SQ
+                    or all(np.abs(x).max() <= STATE_OVERFLOW for x in (x_p, x_c))):
+                failure = _check_step(k, () if wm is None else (y_p, y_wt),
+                                      {"plant": x_p, "controller": x_c})
+                if failure is not None:
+                    guard, done = j, j + 1
+                    break
 
             # 6. triggers for the next step, keyed on this sample's signals
             if triggered:
                 for pend, times, signal in ((pend_w, times_w, y_p), (pend_q, times_q, y_q)):
                     fired = wm.fires(k, signal)  # one bool for all rows, or one per row
                     if fired is not False and np.any(fired):
-                        for i in np.flatnonzero(np.broadcast_to(fired, signal.shape)):
+                        values = signal.ravel().tolist()
+                        for i in np.flatnonzero(np.broadcast_to(fired, signal.shape)).tolist():
                             times[i].append(k)
-                            pend[i] = float(signal[i, 0, 0])
+                            pend[i] = values[i]
 
-            c_yr[j], c_res[j] = y_r[run], y_r[n_runs:]
-            c_yp[j], c_ywt[j], c_yq[j], c_u[j] = y_p[run], y_wt[run], y_q[run], u[run, :1]
+        # 4. the detector over the steps stepped, then its divergence guard: a
+        # detector failure before the loop's failing step (or at it, merged
+        # with the loop's states) is what a per-step guard would have raised
+        peaks = _observe(det, xr_blk[:done + 1], u_blk[:done], yq_blk[:done], yr_blk[:done],
+                         scratch[:done])
+        bad = ~(peaks <= STATE_OVERFLOW)
+        if bad.any():
+            j = int(bad.any(axis=1).argmax())
+            states = {"detector": xr_blk[j + 1]}
+            if j == guard:
+                states = {"plant": x_p, "controller": x_c, **states}
+            signals = () if wm is None else (yp_blk[j], ywt_blk[j])
+            failure = _check_step(start + j, signals, states) or failure
+        if failure is not None:
+            raise failure
+
+        out = slice(start, start + rows)
+        for name, buf in (("y_p", yp_blk), ("y_w_tilde", ywt_blk), ("y_q", yq_blk),
+                          ("y_r", yr_blk)):
+            cols[name][out] = buf[:rows, run]
+        cols["u"][out] = u_blk[:rows, run, :1]
+        residual[out] = yr_blk[:rows, n_runs:]
+        xr_blk[0] = xr_blk[rows]
+        if wm is not None:
+            # the generator register holds views of y_p rows the next block overwrites
+            reg_w = tuple(r.copy() for r in reg_w)
 
     columns = {name: cols[name].reshape(horizon, n_runs) for name in _COLUMNS}
     threshold = None

@@ -47,6 +47,7 @@ __all__ = [
     "eta2",
     "validate_theta",
     "sigma",
+    "sigma_block",
     "sigma_detail",
 ]
 
@@ -153,6 +154,16 @@ def _numbers(value, path) -> tuple[float, ...]:
     if not isinstance(value, list):
         raise ConfigError(f"expected a list of numbers, got {value!r}", path=path)
     return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+def _check_keys(data: dict, keys, path: str) -> None:
+    """ConfigError at the first key of a section, in file order, that is not
+    one of `keys`: a misspelt optional field would otherwise take its
+    default without a word."""
+    for key in data:
+        if key not in keys:
+            raise ConfigError(f"unknown field (expected one of: {', '.join(keys)})",
+                              path=f"{path}.{key}")
 
 
 def _json_document(data: str | bytes, path: str):
@@ -310,6 +321,10 @@ def eta2(b_raw, *, floor: float, slope: float, margin: float) -> FirParams:
     return FirParams((b0, b1) + tuple((v / denom) * (headroom - eps) for v in tail))
 
 
+# the fields of a switching configuration file, in `to_dict` order
+_CONFIG_KEYS = ("curve", "l", "n_h", "alpha", "eta1", "eta_floor", "eta_margin", "eta_slope")
+
+
 @dataclass(frozen=True)
 class SwitchingConfig:
     """The shared secret material held by both endpoints.
@@ -393,6 +408,11 @@ class SwitchingConfig:
                 raise ConfigError("missing required field", path=f"{where}.{key}")
             return d[key]
 
+        if isinstance(data, dict):
+            _check_keys(data, _CONFIG_KEYS, path)
+            for key, keys in (("curve", ("s", "a", "b")), ("alpha", ("x", "y"))):
+                if isinstance(data.get(key), dict):
+                    _check_keys(data[key], keys, f"{path}.{key}")
         curve_d = need(data, "curve", path)
         a, b, s = (_integer(need(curve_d, key, f"{path}.curve"), f"{path}.curve.{key}")
                    for key in ("a", "b", "s"))
@@ -478,19 +498,40 @@ def sigma_detail(y_prev: float, cfg: SwitchingConfig) -> SwitchOutcome:
     return SwitchOutcome(scaled, p, *_derive(p, cfg))
 
 
-def sigma(y_prev: float, cfg: SwitchingConfig) -> FirParams:
-    """New tap vector from the previous shared output sample.
-
-    Equal to `sigma_detail(y_prev, cfg).theta`, but the stages after the
-    projection run once per nearest point and configuration, and the taps
-    enter `cfg.tap_table` only once `admissible_taps` passes them. A
-    derivation or check that raises stores nothing, so it raises again.
-    """
-    x, y = alpha1(y_prev, cfg.alpha_x, cfg.alpha_y, cfg.curve.s)
-    i = cfg.curve.nearest_index(x, y)
+def _tap_row(i: int, cfg: SwitchingConfig) -> FirParams:
+    """The taps of affine point i from `cfg.tap_table`, derived and checked
+    by `admissible_taps` before they are stored when the slot is empty. A
+    derivation or check that raises stores nothing, so it raises again."""
     theta = cfg.tap_table[i]
     if theta is None:
         theta = _derive(cfg.curve.affine_points()[i], cfg)[3]
         admissible_taps(theta)
         cfg.tap_table[i] = theta
     return theta
+
+
+def sigma(y_prev: float, cfg: SwitchingConfig) -> FirParams:
+    """New tap vector from the previous shared output sample.
+
+    Equal to `sigma_detail(y_prev, cfg).theta`, but the stages after the
+    projection run once per nearest point and configuration (`_tap_row`).
+    """
+    x, y = alpha1(y_prev, cfg.alpha_x, cfg.alpha_y, cfg.curve.s)
+    i = cfg.curve.nearest_index(x, y)
+    theta = cfg.tap_table[i]
+    return _tap_row(i, cfg) if theta is None else theta
+
+
+def sigma_block(ys: np.ndarray, cfg: SwitchingConfig) -> list[FirParams]:
+    """`[sigma(y, cfg) for y in ys]` for a 1-D float64 array of samples: one
+    `alpha1` block, one `nearest_indices` call, then the tap table in input
+    order. A sample that fails raises the error of the first failing sample
+    in input order, and the table ends as the per-sample calls leave it."""
+    try:
+        xs, qy = alpha1(ys, cfg.alpha_x, cfg.alpha_y, cfg.curve.s)
+        points = cfg.curve.nearest_indices(xs, qy).tolist()
+    except InputError:
+        # a sample before the one that failed here may fail in a later stage,
+        # and its error comes first: the per-sample calls raise in input order
+        return [sigma(y, cfg) for y in ys.tolist()]
+    return [_tap_row(i, cfg) for i in points]

@@ -55,15 +55,16 @@ def check_stability(theta) -> StabilityReport:
 
 def fir_step(taps, register, value, generator: bool):
     """One output of the tap filter: b0*v + acc for the generator, (v - acc)/b0
-    for the remover, where acc starts at 0.0 and adds b_i*r_i in tap order.
+    for the remover, where acc starts at b_1*r_1 and adds b_i*r_i in tap
+    order (there are always at least two taps).
 
     The arguments are floats, or (R, 1, 1) arrays that step R filters at once
     (`taps` and `register` then hold one such array per entry). numpy applies
     the same IEEE operations in the same order to each row, so every row is
     bit for bit the float result.
     """
-    acc = 0.0
-    for b, r in zip(taps[1:], register):
+    acc = taps[1] * register[0]
+    for b, r in zip(taps[2:], register[1:]):
         acc += b * r
     return taps[0] * value + acc if generator else (value - acc) / taps[0]
 

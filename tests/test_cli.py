@@ -416,6 +416,28 @@ def test_oversized_json_integer_exits_config_error(tmp_path, capsys, command, fi
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv,edit", [
+    (["sim", "--scenario", "FILE", "--out", "OUT"], "quantil"),
+    (["sweep", "--config", "FILE", "--out", "OUT"], "eta_flor"),
+    (["switch-eval", "--config", "FILE", "--y", "1.0"], "eta_flor"),
+], ids=lambda v: v[0] if isinstance(v, list) else v)
+def test_misspelt_field_exits_config_error(tmp_path, capsys, argv, edit):
+    if edit == "quantil":
+        d = json.loads(shipped.data_text("scenario_nominal.json"))
+        d["detector"]["threshold"]["quantil"] = 0.5
+        field = "detector.threshold.quantil"
+    else:
+        d = json.loads(shipped.data_text("demo_config.json"))
+        d["eta_flor"] = d.pop("eta_floor")
+        field = "eta_flor"
+    path, out = tmp_path / "input.json", tmp_path / "out"
+    path.write_text(json.dumps(d))
+    argv = [{"FILE": str(path), "OUT": str(out)}.get(arg, arg) for arg in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {path}.{field}: unknown field")
+    assert not out.exists()
+
+
 # a UTF-8 BOM is invalid JSON too, as json.loads has it
 @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000, b"\xef\xbb\xbf{}"],
                          ids=["not-utf8", "nested-too-deep", "utf8-bom"])

@@ -5,6 +5,7 @@ import hashlib
 import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,46 @@ def test_loader_fuzz_one_leaf(path, value):
         Scenario.from_dict(d)
     except ConfigError:
         pass
+
+
+def _sections(node, path=()):
+    """Key paths of every JSON object in a parsed document, itself first."""
+    if isinstance(node, dict):
+        yield path
+        for key, child in node.items():
+            yield from _sections(child, path + (key,))
+
+
+@pytest.mark.parametrize("name", shipped.SCENARIOS)
+def test_unknown_key_in_any_section_is_rejected(name):
+    document = json.loads(shipped.data_text(f"scenario_{name}.json"))
+    sections = list(_sections(document))
+    # top, plant and its two noises, controller, detector and threshold,
+    # watermark, its config, curve, alpha and protocol, attack
+    assert len(sections) == 13
+    for section in sections:
+        d = copy.deepcopy(document)
+        node = d
+        for key in section:
+            node = node[key]
+        node["zz"] = 1
+        with pytest.raises(ConfigError) as err:
+            Scenario.from_dict(d)
+        assert err.value.path == ".".join(("scenario", *section, "zz"))
+
+
+@pytest.mark.parametrize("edit,path", [
+    (lambda d: d["detector"]["threshold"].update(quantil=0.5), "detector.threshold.quantil"),
+    (lambda d: d.update(horizn=10), "horizn"),
+    (lambda d: d["plant"]["measurement_noise"].update(std=[0.1]), "plant.measurement_noise.std"),
+    (lambda d: d["watermark"]["config"].update(eta_flor=2.0), "watermark.config.eta_flor"),
+])
+def test_misspelt_field_names_its_path(edit, path):
+    d = copy.deepcopy(_NOMINAL)
+    edit(d)
+    with pytest.raises(ConfigError, match="unknown field") as err:
+        Scenario.from_json(json.dumps(d), path="nominal.json")
+    assert err.value.path == f"nominal.json.{path}"
 
 
 # -- attack primitives ---------------------------------------------------------------
@@ -536,9 +577,14 @@ def test_noise_block_rows_follow_the_value_budget(monkeypatch):
         return _noise_chunks(rng, plant, n, rows)
 
     monkeypatch.setattr(sim, "_noise_chunks", spy)
-    # 100 runs of a 200-state plant: 13 steps of noise at once, not 1024
+    # 100 runs of a 200-state plant with 7 signal values per step: signal
+    # blocks of 11 steps take their share of the budget, and the noise of 12
+    # steps fits the rest, cut to whole signal blocks: 11 steps, not 1024
     run_batch(_held_scenario(np.eye(200) * 0.5, np.zeros(200)), range(100))
-    assert sizes == [sim.NOISE_BLOCK_VALUES // (100 * 201)] * 100 == [13] * 100
+    signal_rows = sim.NOISE_BLOCK_VALUES // (sim.STEP_BLOCK_SHARE * 100 * 7)
+    noise_rows = (sim.NOISE_BLOCK_VALUES - signal_rows * 100 * 7) // (100 * 201)
+    assert (signal_rows, noise_rows) == (11, 12)
+    assert sizes == [11] * 100
 
 
 # -- lockstep batch ------------------------------------------------------------------
@@ -554,6 +600,10 @@ def test_stacked_matmul_matches_per_row_kernels(rows, cols):
     M = rng.normal(size=(rows, cols))
     X = rng.normal(size=(2000, cols, 1)) * 10.0 ** rng.integers(-3, 4, size=(2000, 1, 1))
     Y = np.matmul(M, X)
+    # the detector pass writes its stacked products in place
+    Z = np.empty_like(Y)
+    np.matmul(M, X, out=Z)
+    assert np.array_equal(Z, Y)
     for i in range(len(X)):
         assert np.array_equal(Y[i, :, 0], M @ X[i, :, 0]), (
             f"stacked matmul of a {rows}x{cols} matrix rounds row {i} differently "
@@ -682,6 +732,110 @@ def test_one_batch_equals_two_pass(case, caplog):
         _assert_same_run(trace, oracle_run(scenario, seed=seed, threshold=thr))
     if case == "threshold_trigger":
         assert len({tuple(t.trigger_times_generator) for t in traces}) > 1
+
+
+# -- block boundaries ----------------------------------------------------------------
+
+# signal blocks of one step (noise blocks too), of 3 steps (noise blocks of
+# 279) and of 300 steps: the shipped cases above run in a single block
+_BLOCK_STEPS = [1, 3, 300]
+
+
+def _set_block_steps(monkeypatch, scenario, n_rows, steps):
+    """Patch NOISE_BLOCK_VALUES so that a batch of n_rows rows of `scenario`
+    steps in signal blocks of `steps` steps."""
+    # per row and step: y_p, y_w_tilde, y_q, y_r, u, the detector state and K y_q
+    signal_width = 4 + scenario.plant.B.shape[1] + 2 * scenario.detector.A.shape[0]
+    budget = 1 if steps == 1 else sim.STEP_BLOCK_SHARE * n_rows * signal_width * steps
+    monkeypatch.setattr(sim, "NOISE_BLOCK_VALUES", budget)
+    noise_width = 1 + scenario.plant.A.shape[0]
+    assert sim._block_rows(n_rows, noise_width, signal_width)[0] == steps
+
+
+@pytest.mark.parametrize("steps", _BLOCK_STEPS)
+def test_replay_window_across_blocks_equals_oracle(steps, monkeypatch):
+    # the attack starts mid-block (300-step blocks: 1200 to 1500), so its
+    # 100-step window first reads the previous block back, then its own
+    scenario = _scenario("replay", 1400, attack__start=1250)
+    seeds = [3, 4]
+    _set_block_steps(monkeypatch, scenario, len(seeds), steps)
+    traces = run_batch(scenario, seeds, threshold=0.18)
+    for seed, trace in zip(seeds, traces, strict=True):
+        _assert_same_run(trace, oracle_run(scenario, seed=seed, threshold=0.18))
+    assert all(trace.alarm_steps for trace in traces)
+
+
+@pytest.mark.parametrize("steps", _BLOCK_STEPS)
+def test_threshold_trigger_across_blocks_equals_oracle(steps, monkeypatch):
+    scenario = _scenario("nominal", 700,
+                         watermark__protocol={"trigger": "threshold", "bound": 10.02})
+    seeds = [5, 6, 7, 8]
+    _set_block_steps(monkeypatch, scenario, len(seeds), steps)
+    traces = run_batch(scenario, seeds, threshold=0.18)
+    for seed, trace in zip(seeds, traces, strict=True):
+        _assert_same_run(trace, oracle_run(scenario, seed=seed, threshold=0.18))
+    assert len({tuple(t.trigger_times_generator) for t in traces}) > 1
+
+
+@functools.cache
+def _calibrated_700():
+    scenario = _scenario("nominal", 700, detector__threshold=_CALIBRATED)
+    return scenario, oracle_threshold(scenario)
+
+
+@pytest.mark.parametrize("steps", _BLOCK_STEPS)
+def test_calibration_rows_across_blocks_equal_oracle(steps, monkeypatch):
+    scenario, thr = _calibrated_700()
+    seeds = [5, 6]
+    _set_block_steps(monkeypatch, scenario, len(seeds) + _CALIBRATED["runs"], steps)
+    for seed, trace in zip(seeds, run_batch(scenario, seeds), strict=True):
+        _assert_same_run(trace, oracle_run(scenario, seed=seed, threshold=thr))
+    _set_block_steps(monkeypatch, scenario, _CALIBRATED["runs"], steps)
+    assert calibrate_threshold(scenario) == thr
+
+
+def _detector_drift_scenario(plant_a, high, gain):
+    """A noise-driven walk of the plant whose detector, through its gain K,
+    leaves the overflow guard first."""
+    d = small_scenario_dict(horizon=700)
+    d["plant"].update(A=[[plant_a]], x0=[0.0],
+                      process_noise={"kind": "uniform", "low": [0.0], "high": [high]})
+    d["detector"]["K"] = [[gain]]
+    return Scenario.from_dict(d)
+
+
+@pytest.mark.parametrize("steps", _BLOCK_STEPS)
+@pytest.mark.parametrize("plant_a,high,gain,seeds", [
+    # only the detector leaves the guard, at steps 365 to 423
+    (0.999, 1e9, 3.0, list(range(6))),
+    # the detector leaves it at steps 310 to 328, the plant at 515 to 524 (in
+    # the same 300-step block), so the loop stops after the detector's step
+    (0.9999, 4e9, 0.8, [1, 2, 3]),
+])
+def test_detector_divergence_in_a_later_block_equals_oracle(plant_a, high, gain, seeds,
+                                                            steps, monkeypatch):
+    scenario = _detector_drift_scenario(plant_a, high, gain)
+    _set_block_steps(monkeypatch, scenario, len(seeds), steps)
+    single = [_divergence(lambda: oracle_run(scenario, seed=s)) for s in seeds]
+    first = min(range(len(seeds)), key=lambda i: (single[i][1], i))
+    assert single[first][0] == "detector" and single[first][1] > steps
+    assert _divergence(lambda: run_batch(scenario, seeds)) == single[first]
+
+
+def test_run_memory_is_bounded_by_the_block_budget():
+    """Besides its trace columns and calibration residual, a run holds one
+    noise block and one block of signal buffers: buffers over the whole
+    horizon for every row of the batch would hold about 3 MB more."""
+    scenario = shipped.load_scenario("nominal")
+    run_scenario(scenario, horizon=8, threshold=1.0)  # the tap table and the curve
+    tracemalloc.start()
+    try:
+        run_scenario(scenario, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 1.50 MiB when the noise block spanned the whole horizon
+    assert peak < 1.6 * 2**20
 
 
 def test_horizon_override_needs_a_threshold():

@@ -26,6 +26,7 @@ from ecwatermark import (
     eta1,
     eta2,
     sigma,
+    sigma_block,
     sigma_detail,
     validate_theta,
 )
@@ -455,6 +456,42 @@ def test_inadmissible_derivation_raises_and_stores_nothing():
         # the diagnostic path still reports the clamped taps
         assert sigma_detail(y, cfg).theta.taps[0] == 1e-320
     assert cfg.tap_table.count(None) == len(cfg.tap_table)
+
+
+def _table_taps(cfg):
+    return [None if theta is None else theta.taps for theta in cfg.tap_table]
+
+
+def test_sigma_block_equals_per_sample_sigma():
+    rng = np.random.default_rng(7_000_002)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConfigurationWarning)
+        for _ in range(8):
+            cfg = random_switching_config(rng)
+            twin = dataclasses.replace(cfg)  # equal, with a table of its own
+            ys = np.concatenate([rng.uniform(-100, 100, 60), rng.uniform(-1e4, 1e4, 60),
+                                 [0.0, -0.0, 3.5, 3.5]])
+            block = sigma_block(ys, cfg)
+            assert [theta.taps for theta in block] == [sigma(y, twin).taps for y in ys.tolist()]
+            assert _table_taps(cfg) == _table_taps(twin)
+            # a second block only hits, and returns the stored objects
+            assert all(a is b for a, b in zip(sigma_block(ys, cfg), block, strict=True))
+
+
+# y = 5 fails in the feature map (see test_failed_derivation_is_not_cached),
+# 1e300 in the scaling, nan before it; y = 1 derives
+@pytest.mark.parametrize("ys", [[1.0, 5.0, math.nan], [1.0, math.nan, 5.0], [5.0, 1e300],
+                                [1.0, 1e300, 5.0, 2.0], [1.0, 5.0]])
+def test_sigma_block_raises_the_first_failing_sample_error(ys):
+    rows = ((0.0, 1.2e307, 0.0), (0.0, 0.0, 0.05), (1.0, -0.15, 0.012))
+    cfg, twin = make_config(eta1_rows=rows), make_config(eta1_rows=rows)
+    with pytest.raises(InputError) as per_sample:
+        for y in ys:
+            sigma(y, twin)
+    with pytest.raises(InputError) as block:
+        sigma_block(np.array(ys), cfg)
+    assert str(block.value) == str(per_sample.value)
+    assert _table_taps(cfg) == _table_taps(twin)
 
 
 @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
