@@ -3,9 +3,12 @@
 Affine coordinates on plain Python ints throughout: on desk-scale fields one
 modular inversion (pow(v, -1, s)) per operation is cheap, and the
 chord-and-tangent case analysis stays easy to audit. The identity is the
-point at infinity O. Points are enumerated from field.root_table, the one
-table of square roots mod s, so its enumeration bound is the curve's too;
-point orders come from walks of cyclic subgroups, one point's (point_order)
+point at infinity O. The affine points are enumerated from field.root_table,
+the one table of square roots mod s (so its enumeration bound is the
+curve's too), into x and y coordinate arrays in one numpy pass; order(),
+the projection and the switching map read those arrays, and Point objects
+are built only for callers that ask (affine_points, affine_point); point
+orders come from walks of cyclic subgroups, one point's (point_order)
 or every point's (point_orders); the nearest affine point to a real query is
 an exact float64 search over one band of x-columns around the query, with
 the whole curve as the fallback. One scan, _squared_distances, holds the
@@ -17,7 +20,6 @@ disagree.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +91,10 @@ class Curve:
         self.a = a
         self.b = b
         self.s = s
+        # coordinate arrays and projection tables, filled by _coordinates
+        self._xs: np.ndarray | None = None
+        self._ys: np.ndarray | None = None
         self._affine: list[Point] | None = None
-        # projection tables, filled with the enumeration: see nearest_index
         self._width = 0
         self._buckets: list[tuple] = []
         self._whole: tuple = ()
@@ -165,18 +169,44 @@ class Curve:
 
     # -- enumeration and derived quantities --------------------------------
 
+    def _coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """x and y of every affine point as int arrays, sorted by (x, y).
+
+        Enumerated on the first call, with the projection tables: column x
+        holds (x, r) when r >= 0 and (x, s - r) when r > 0, r the smaller
+        root of its right-hand side from field.root_table (-1 for none).
+        Raises CapacityError past the enumeration bound (see root_table).
+        """
+        if self._xs is None:
+            s = self.s
+            roots = root_table(s)  # first: it refuses a field past the bound
+            col = np.arange(s)
+            # below 10^12 within the enumeration bound, so int64 cannot wrap
+            r = roots[((col * col + self.a) * col + self.b) % s]
+            # the true entries of [r >= 0, r >= 1] per column, in row-major
+            # order: (x, y) order, since r <= s - r
+            xs, second = np.nonzero(r[:, None] >= np.arange(2))
+            ry = r[xs]
+            ys = np.where(second, s - ry, ry)
+            self._build_buckets(xs, ys)
+            self._xs, self._ys = xs, ys
+        return self._xs, self._ys
+
     def affine_points(self) -> list[Point]:
-        """All affine points, sorted by (x, y). Cached after the first call.
-        Raises CapacityError past the enumeration bound (see root_table)."""
+        """All affine points, sorted by (x, y): Point objects built from the
+        coordinate arrays on the first call and cached. Raises CapacityError
+        past the enumeration bound (see root_table)."""
         if self._affine is None:
-            s, a, b = self.s, self.a, self.b
-            roots = root_table(s)
-            pts = [Point(x, y) for x in range(s) for y in roots[(x * x * x + a * x + b) % s]]
-            self._build_buckets(pts)
-            self._affine = pts
+            xs, ys = self._coordinates()
+            self._affine = list(map(Point, xs.tolist(), ys.tolist()))
         return self._affine
 
-    def _build_buckets(self, pts: list[Point]) -> None:
+    def affine_point(self, i: int) -> Point:
+        """affine_points()[i], built on its own from the coordinate arrays."""
+        xs, ys = self._coordinates()
+        return Point(xs.item(i), ys.item(i))
+
+    def _build_buckets(self, xs: np.ndarray, ys: np.ndarray) -> None:
         """Cut the columns [0, s) into buckets of W columns for nearest_index.
 
         Bucket b holds views of the points in columns [(b-1)W, (b+2)W): one
@@ -186,18 +216,16 @@ class Curve:
         fields, where numpy's per-call cost, not the scan, sets the time: a
         field below 32 is one bucket.
         """
-        s, n = self.s, len(pts)
-        cols = [p.x for p in pts]
-        xs = np.array(cols, dtype=np.float64)
-        ys = np.array([p.y for p in pts], dtype=np.float64)
+        s, n = self.s, len(xs)
+        fx, fy = xs.astype(np.float64), ys.astype(np.float64)
         w = max(32, math.ceil(1.3 * s / math.sqrt(n)))
         self._width = w
-        self._whole = (xs, ys, 0, math.inf)
+        self._whole = (fx, fy, 0, math.inf)
         # edges[j] is the first index in column (j-1)W or later; bucket b
         # spans edges[b] to edges[b+3]
-        edges = [bisect_left(cols, j * w) for j in range(-1, -(-s // w) + 2)]
+        edges = np.searchsorted(xs, np.arange(-1, -(-s // w) + 2) * w).tolist()
         self._buckets = [
-            (xs[lo:hi], ys[lo:hi], lo, math.inf if lo == 0 and hi == n else float(w * w))
+            (fx[lo:hi], fy[lo:hi], lo, math.inf if lo == 0 and hi == n else float(w * w))
             for lo, hi in zip(edges, edges[3:])
         ]
 
@@ -206,7 +234,7 @@ class Curve:
         return [INFINITY] + self.affine_points()
 
     def order(self) -> int:
-        return len(self.affine_points()) + 1
+        return len(self._coordinates()[0]) + 1
 
     def _multiples(self, p: Point) -> list[Point]:
         """[p, 2p, ..., (m-1)p] for an affine point p of order m: p added to
@@ -281,8 +309,8 @@ class Curve:
         no distance is finite: a NaN or infinite coordinate, or one so large
         that every squared distance overflows.
         """
-        if self._affine is None:
-            self.affine_points()
+        if self._xs is None:
+            self._coordinates()
         if 0 <= x < self.s:
             xs, ys, lo, bound = self._buckets[int(x) // self._width]
         else:
@@ -310,8 +338,8 @@ class Curve:
         BLOCK_DISTANCES distances. Raises InputError for the first query, in
         input order, that nearest_index would reject.
         """
-        if self._affine is None:
-            self.affine_points()
+        if self._xs is None:
+            self._coordinates()
         qx = np.asarray(qx, dtype=np.float64)
         qy = np.asarray(qy, dtype=np.float64)
         if qx.ndim != 1 or qx.shape != qy.shape:
@@ -351,4 +379,4 @@ class Curve:
     def nearest_affine(self, x: float, y: float) -> Point:
         """Affine point minimizing squared Euclidean distance to (x, y); see
         nearest_index for the float operations, tie rule and errors."""
-        return self.affine_points()[self.nearest_index(x, y)]
+        return self.affine_point(self.nearest_index(x, y))

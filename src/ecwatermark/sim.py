@@ -728,6 +728,16 @@ def _check_step(k: int, signals, states: dict) -> InputError | DivergenceError |
     return None
 
 
+def _generator_failed(failure, y_p, y_wt) -> bool:
+    """Whether `failure`, _check_step's error at a step with watermark inputs
+    y_p and y_wt, is the generator's InputError: the lowest row with a
+    non-finite input fails on y_p. Otherwise it comes after the attack."""
+    if not isinstance(failure, InputError):
+        return False
+    bad_p = ~np.isfinite(y_p).ravel()
+    return bool(bad_p[np.flatnonzero(bad_p | ~np.isfinite(y_wt).ravel())[0]])
+
+
 def _block_rows(n_rows: int, noise_width: int, signal_width: int) -> tuple[int, int]:
     """Steps per signal block and per noise block, a whole number of signal
     blocks, for a batch of n_rows rows whose steps hold noise_width noise
@@ -832,7 +842,7 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
         reg_w = reg_q = (np.zeros((n_rows, 1, 1)),) * (len(theta) - 1)
         tap_record = [[(0, theta, theta)] for _ in all_seeds]
     pend_w, pend_q = {}, {}  # row index -> the signal its trigger fired on
-    replay_deferred_logged = False
+    deferred_at = -1  # the first step whose replay was deferred
 
     for start in range(0, horizon, block_rows):
         if start % noise_rows == 0:
@@ -843,9 +853,9 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
         rows = min(block_rows, horizon - start)
         at = start % noise_rows
         v, w = block[at:at + rows, :, :1, None], block[at:at + rows, :, 1:, None]
-        # the loop's error, the index of a step whose guard it comes from, and
-        # the number of steps whose detector inputs the buffers hold
-        failure, guard, done = None, -1, rows
+        # the loop's error, the index of the step it comes from, and the
+        # number of steps whose detector inputs the buffers hold
+        failure, failed, done = None, -1, rows
 
         steps = zip(yp_blk, ywt_blk, yq_blk, u_blk, v, w, history[start:start + rows])
         for j, (y_p, ywt_j, yq_j, u, v_j, w_j, yw_j) in enumerate(steps):
@@ -860,7 +870,7 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
                                for key, theta in zip(keys, sigma_block(np.array(keys), wm.config))}
                 except EcwmError as exc:
                     # raised below, unless the detector diverged at an earlier step
-                    failure, done = exc, j
+                    failure, failed, done = exc, j, j
                     break
                 for pend, table in ((pend_w, table_w), (pend_q, table_q)):
                     if pend:
@@ -880,12 +890,8 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
             y_w = y_p if wm is None else fir_step(b_w, reg_w, y_p, True)
             yw_j[...] = y_w[run]
             y_wt, deferred = apply_attack(y_w, history, attack, k, n_runs)
-            if deferred and not replay_deferred_logged:
-                log.warning(
-                    "replay attack at step %d lacks %d steps of history; activation deferred",
-                    k, attack.window - k,
-                )
-                replay_deferred_logged = True
+            if deferred and deferred_at < 0:
+                deferred_at = k  # logged after the block's guard
             ywt_j[...] = y_wt
             if wm is None:
                 y_q = y_wt
@@ -910,7 +916,7 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
                 failure = _check_step(k, () if wm is None else (y_p, y_wt),
                                       {"plant": x_p, "controller": x_c})
                 if failure is not None:
-                    guard, done = j, j + 1
+                    failed, done = j, j + 1
                     break
 
             # 6. triggers for the next step, keyed on this sample's signals
@@ -932,10 +938,20 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
         if bad.any():
             j = int(bad.any(axis=1).argmax())
             states = {"detector": xr_blk[j + 1]}
-            if j == guard:
+            if j == failed:
                 states = {"plant": x_p, "controller": x_c, **states}
             signals = () if wm is None else (yp_blk[j], ywt_blk[j])
-            failure = _check_step(start + j, signals, states) or failure
+            error = _check_step(start + j, signals, states)
+            if error is not None:
+                failure, failed = error, j
+        # the deferral warning at step j, if a run stepped on its own reaches
+        # that step's attack: no failure, a later one, or one at step j after
+        # the attack (any but the generator's InputError)
+        j = deferred_at - start
+        if 0 <= j < rows and (failure is None or failed > j or (
+                failed == j and not _generator_failed(failure, yp_blk[j], ywt_blk[j]))):
+            log.warning("replay attack at step %d lacks %d steps of history; activation deferred",
+                        deferred_at, attack.window - deferred_at)
         if failure is not None:
             raise failure
 

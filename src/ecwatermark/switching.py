@@ -397,7 +397,7 @@ class SwitchingConfig:
         one slot per point, None until `sigma` derives and checks that
         point's taps, then the `FirParams` every later hit returns. Not a
         field, so it takes no part in ==, hash or serialization."""
-        return [None] * len(self.curve.affine_points())
+        return [None] * (self.curve.order() - 1)
 
     # -- serialization -----------------------------------------------------
 
@@ -504,7 +504,7 @@ def _tap_row(i: int, cfg: SwitchingConfig) -> FirParams:
     derivation or check that raises stores nothing, so it raises again."""
     theta = cfg.tap_table[i]
     if theta is None:
-        theta = _derive(cfg.curve.affine_points()[i], cfg)[3]
+        theta = _derive(cfg.curve.affine_point(i), cfg)[3]
         admissible_taps(theta)
         cfg.tap_table[i] = theta
     return theta

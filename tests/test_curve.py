@@ -206,10 +206,33 @@ def test_enumeration_sorted_and_on_curve(desk_curve):
     assert all(desk_curve.contains(p) for p in pts)
 
 
-@pytest.mark.parametrize("a, b, s", [(2, 2, 17), (2, 3, 1009)])
+@pytest.mark.parametrize("a, b, s", [
+    (0, 1, 5),  # the smallest field
+    (2, 2, 17),
+    (306, 0, 307),  # x^3 - x = 0 at x = 0, 1, 306: one-point columns
+    (2, 3, 307),
+    (2, 3, 1009),
+])
 def test_enumeration_matches_sqrt_oracle(a, b, s):
     curve = Curve(a, b, s)
-    assert curve.affine_points() == enumerate_by_sqrt(curve)
+    expected = enumerate_by_sqrt(curve)
+    assert curve.affine_points() == expected
+    assert curve.order() == len(expected) + 1
+
+
+def test_enumeration_near_bound_counts_by_euler_criterion():
+    # the O(s^2) oracle is too slow here: column x holds 1 + (rhs | s)
+    # points, the Legendre symbol by Euler's criterion
+    curve = Curve(2, 3, 9973)
+    s = curve.s
+    legendre = {0: 0, 1: 1, s - 1: -1}
+    expected = sum(1 + legendre[pow((x ** 3 + 2 * x + 3) % s, (s - 1) // 2, s)]
+                   for x in range(s))
+    assert curve.order() - 1 == expected
+    pts = curve.affine_points()
+    assert len(pts) == expected
+    assert all((p.x, p.y) < (q.x, q.y) for p, q in zip(pts, pts[1:]))
+    assert all(curve.contains(p) for p in pts)
 
 
 def test_enumeration_bound():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ecwatermark import CapacityError, sqrt_candidates
@@ -69,9 +71,16 @@ def test_sqrt_nonresidue_empty():
     assert sqrt_candidates(3, 17) == []
 
 
-@pytest.mark.parametrize("s", [17, 101, 257, 1009])
+@pytest.mark.parametrize("s", [2, 3, 5, 17, 101, 257, 1009])
 def test_sqrt_matches_exhaustive_oracle(s):
+    # at s = 2 the two roots of 1 coincide: [1], not [1, 1]
     for v in range(s):
+        assert sqrt_candidates(v, s) == sqrt_by_search(v, s)
+
+
+def test_sqrt_matches_oracle_near_enumeration_bound():
+    s = 9973
+    for v in random.Random(s).sample(range(s), 200):
         assert sqrt_candidates(v, s) == sqrt_by_search(v, s)
 
 
@@ -82,7 +91,7 @@ def test_sqrt_past_enumeration_bound_rejected():
         sqrt_candidates(4, 2**61 - 1)
 
 
-@pytest.mark.parametrize("s", [17, 101, 1009])
+@pytest.mark.parametrize("s", [2, 3, 5, 17, 101, 1009])
 def test_root_counts_sum_to_field_size(s):
     total = 0
     for v in range(s):

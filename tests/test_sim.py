@@ -513,6 +513,44 @@ def test_divergence_pretest_falls_through_to_block_checks(scenario, block, step,
     assert err.value.magnitude == peak or (math.isnan(peak) and math.isnan(err.value.magnitude))
 
 
+def _watermarked(scenario, c_p, b0):
+    """`scenario` with plant output gain c_p and the constant taps (b0, 0, 0)."""
+    d = small_scenario_dict()
+    d["watermark"] = {"enabled": True, "config": json.loads(shipped.data_text("demo_config.json")),
+                      "protocol": {"trigger": "none"}, "theta0": [b0, 0.0, 0.0]}
+    return dataclasses.replace(scenario, watermark=Scenario.from_dict(d).watermark,
+                               plant=dataclasses.replace(scenario.plant, C=np.array([[c_p]])))
+
+
+@pytest.mark.parametrize("scenario, start", [
+    (_held_scenario([[1.0]], [0.0]), 3),  # no failure
+    (_held_scenario([[1.0]], [0.0], det_x0=-2e12), 3),  # the detector state fails at step 0
+    (_held_scenario([[2.0]], [1e11]), 3),  # the plant state fails at step 3, after the attack
+    (_held_scenario([[2.0]], [1e11]), 4),  # ... and before the attack starts
+    # y_p = 1e9, then inf at step 1: the generator fails, before the attack
+    (_watermarked(_held_scenario([[1e300]], [1e-290]), 1e299, 1.0), 1),
+    # y_p = 1e8, then 1e308 at step 1, and y_w = 2 y_p = inf: the remover fails
+    (_watermarked(_held_scenario([[1e300]], [1e-290]), 1e298, 2.0), 1),
+], ids=["no-failure", "detector-before", "plant-at", "plant-before", "generator-at",
+        "remover-at"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_replay_deferral_logged_as_per_step_run(scenario, start, caplog):
+    # the batch logs the deferral only if a run stepped on its own would have
+    # reached the attack at step `start`, and raises the same error
+    scenario = dataclasses.replace(scenario, attack=AttackSpec("replay", start=start, window=100))
+    outcomes = []
+    for run in (run_scenario, oracle_run):
+        caplog.clear()
+        error = None
+        with caplog.at_level(logging.WARNING, logger="ecwatermark.sim"):
+            try:
+                run(scenario)
+            except (DivergenceError, InputError) as exc:
+                error = (type(exc), str(exc))
+        outcomes.append((error, [rec.getMessage() for rec in caplog.records]))
+    assert outcomes[0] == outcomes[1]
+
+
 def test_divergence_pretest_spares_the_guard_for_bounded_runs(monkeypatch):
     # 20 runs each well inside the guard, whose squares sum past the bound
     guarded = []

@@ -28,6 +28,7 @@ from ecwatermark import (
     sigma,
     sigma_block,
     sigma_detail,
+    shipped,
     validate_theta,
 )
 from ecwatermark.switching import admissible_taps
@@ -480,6 +481,27 @@ def test_sigma_block_equals_per_sample_sigma():
 
 # y = 5 fails in the feature map (see test_failed_derivation_is_not_cached),
 # 1e300 in the scaling, nan before it; y = 1 derives
+def test_switching_builds_no_point_list(monkeypatch):
+    # loading a config and sigma, one sample or a block, read the curve's
+    # coordinate arrays: no list of Point objects is built
+    calls = []
+    original = Curve.affine_points
+    monkeypatch.setattr(Curve, "affine_points", lambda self: calls.append(self) or original(self))
+    data = json.loads(shipped.data_text("demo_config.json"))
+    data["curve"], data["l"] = {"s": 9973, "a": 2, "b": 3}, 7919
+    cfg = SwitchingConfig.from_json(json.dumps(data))
+    ys = np.random.default_rng(9973).uniform(-1e4, 1e4, 8)
+    for y in ys.tolist():
+        sigma(y, cfg)
+    sigma_block(ys + 0.5, cfg)
+    assert calls == []
+    curve = cfg.curve
+    for y in ys.tolist():
+        x_s, y_s = alpha1(y, cfg.alpha_x, cfg.alpha_y, curve.s)
+        i = curve.nearest_index(x_s, y_s)
+        assert curve.nearest_affine(x_s, y_s) == curve.affine_points()[i]
+
+
 @pytest.mark.parametrize("ys", [[1.0, 5.0, math.nan], [1.0, math.nan, 5.0], [5.0, 1e300],
                                 [1.0, 1e300, 5.0, 2.0], [1.0, 5.0]])
 def test_sigma_block_raises_the_first_failing_sample_error(ys):
