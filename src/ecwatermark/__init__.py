@@ -1,9 +1,9 @@
 """Curve-keyed switching for multiplicative watermarking in control loops.
 
-Layers, bottom up: primality and square roots mod s (`field`), the curve group
-(`curve`), the keyed switching map producing filter taps (`switching`), the
-watermark generator/remover pair (`watermark`), the closed-loop simulator
-(`sim`), and sweep/partition analyses (`analysis`). `ecwm` is the CLI.
+Layers, bottom up: input-file readers (`schema`), square roots mod s
+(`field`), the curve group (`curve`), the keyed tap map (`switching`), the
+watermark generator/remover pair (`watermark`), the scenario file (`scenario`),
+the closed-loop simulator (`sim`) and analyses (`analysis`). `ecwm` is the CLI.
 """
 
 from .curve import INFINITY, Curve, Point
@@ -17,21 +17,18 @@ from .errors import (
     ParameterError,
 )
 from .field import is_prime, sqrt_candidates
-from .sim import (
+from .scenario import (
     AttackSpec,
     ControllerModel,
     DetectorModel,
     NoiseSpec,
     PlantModel,
     Scenario,
-    SimTrace,
     ThresholdSpec,
     WatermarkSetup,
     apply_attack,
-    calibrate_threshold,
-    run_batch,
-    run_scenario,
 )
+from .sim import SimTrace, calibrate_threshold, run_batch, run_scenario
 from .switching import (
     FirParams,
     SwitchingConfig,

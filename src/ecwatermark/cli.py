@@ -24,7 +24,8 @@ from pathlib import Path
 from .analysis import SweepSpec, grid_coords, sensitivity_sweep, voronoi_rows
 from .curve import Curve
 from .errors import ConfigError, DivergenceError, EcwmError
-from .sim import Scenario, run_scenario
+from .scenario import Scenario
+from .sim import run_scenario
 from .switching import SwitchingConfig, sigma_detail, validate_theta
 from . import shipped, svgplot
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .sim import Scenario
+from .scenario import Scenario
 from .switching import SwitchingConfig
 
 SCENARIOS = ("nominal", "replay", "replay_static")

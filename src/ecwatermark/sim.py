@@ -1,4 +1,4 @@
-"""Closed-loop simulation of a watermarked networked control system.
+"""Closed-loop simulation of a `scenario.Scenario`, recorded as a `SimTrace`.
 
 Blocks: plant -> watermark generator -> channel (with optional
 man-in-the-middle attack) -> watermark remover -> residual detector and
@@ -9,8 +9,8 @@ controller. Within one sample the order is fixed and documented:
    the remover on its last reconstructed output); the distinct keys of a
    step are derived in one block (`sigma_block`);
 2. plant output with measurement noise;
-3. generator modulates; the attacker may rewrite the channel value;
-   remover demodulates;
+3. generator modulates; the attacker may rewrite a run's channel value
+   (never a calibration run's); remover demodulates;
 4. detector residual; the alarm test against the (constant) threshold runs
    over the finished residual column;
 5. controller output, then all state updates with process noise. The
@@ -51,29 +51,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, EcwmError, InputError, ParameterError
-from .switching import SwitchingConfig, _check_keys, _integer, _json_document, _number, _numbers
-from .switching import admissible_taps, sigma, sigma_block
+from .errors import DivergenceError, EcwmError, InputError
+from .scenario import (AttackSpec, ControllerModel, DetectorModel, NoiseSpec, PlantModel,
+                       Scenario, ThresholdSpec, WatermarkSetup, apply_attack)
+from .switching import admissible_taps, sigma_block
 from .watermark import fir_step
 
 log = logging.getLogger(__name__)
 
 STATE_OVERFLOW = 1e12
 STATE_OVERFLOW_SQ = STATE_OVERFLOW**2
-
-# The longest accepted run: 500 times the shipped horizon, about 75 MB of
-# trace columns and a minute or two of stepping. Longer horizons are refused
-# at load, since from some length on numpy cannot even allocate the columns.
-MAX_HORIZON = 1_000_000
-
-# The most calibration runs a threshold spec may ask for. Calibration steps
-# them as one batch, so this bounds its memory as well as its time.
-MAX_CALIBRATION_RUNS = 1000
-
-# The most run-steps (runs x horizon) one calibration may take: 10 runs of
-# the longest horizon, about a minute of stepping. It bounds the pooled
-# residual column to 80 MB.
-MAX_CALIBRATION_STEPS = 10**7
 
 # Values a lockstep batch holds at once besides its trace columns (2 MB),
 # whatever the horizon, the number of runs or the orders of plant, controller
@@ -106,408 +93,6 @@ __all__ = [
     "run_batch",
     "calibrate_threshold",
 ]
-
-
-def _require_mapping(value, path, keys=None):
-    """A section that is a JSON object and, given `keys`, holds no other key."""
-    if not isinstance(value, dict):
-        raise ConfigError("section must be a JSON object", path=path)
-    if keys is not None:
-        _check_keys(value, keys, path)
-    return value
-
-
-def _array(value, path, shape_ok, expected) -> np.ndarray:
-    """Finite float array whose shape passes `shape_ok`; `expected` names it."""
-    try:
-        a = np.array(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"not numeric: {exc}", path=path) from exc
-    if not shape_ok(a.shape):
-        raise ConfigError(f"expected {expected}, got shape {a.shape}", path=path)
-    if not np.all(np.isfinite(a)):
-        raise ConfigError("entries must be finite", path=path)
-    return a
-
-
-def _matrix(value, rows, cols, path):
-    """Finite matrix of shape (rows, cols); `cols=None` takes any positive width."""
-    return _array(value, path,
-                  lambda s: len(s) == 2 and s[0] == rows and (s[1] == cols if cols else s[1] >= 1),
-                  f"shape ({rows}, {cols or 'any'})")
-
-
-def _square(value, path):
-    """Finite, non-empty square state matrix; its size is the block's order."""
-    return _array(value, path, lambda s: len(s) == 2 and s[0] == s[1] >= 1,
-                  "a square non-empty matrix")
-
-
-def _vector(value, size, path):
-    return _array(value, path, lambda s: s == (size,), f"length {size}")
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Bounded-uniform (the default flavor), Gaussian, or no noise."""
-
-    kind: str = "none"
-    params: tuple = ()  # (low, high) or (mean, std), one tuple per parameter
-
-    @classmethod
-    def from_dict(cls, data, dim: int, path: str) -> "NoiseSpec":
-        """Read and validate a noise section for a `dim`-dimensional signal."""
-        if data is None:
-            return cls()
-        _require_mapping(data, path)
-        kind = data.get("kind", "none")
-        fields = {"none": (), "uniform": ("low", "high"), "normal": ("mean", "std")}
-        if not isinstance(kind, str) or kind not in fields:
-            raise ConfigError(f"unknown noise kind {kind!r}", path=path)
-        _check_keys(data, ("kind", *fields[kind]), path)
-        if kind == "none":
-            return cls()
-        if kind == "uniform":
-            low = _vector(data.get("low"), dim, f"{path}.low")
-            high = _vector(data.get("high"), dim, f"{path}.high")
-            if np.any(low > high):
-                raise ConfigError("low must not exceed high", path=path)
-            if not all(math.isfinite(h - l) for l, h in zip(low.tolist(), high.tolist())):
-                raise ConfigError("high - low must be finite", path=f"{path}.high")
-            return cls("uniform", (tuple(low), tuple(high)))
-        mean = _vector(data.get("mean"), dim, f"{path}.mean")
-        std = _vector(data.get("std"), dim, f"{path}.std")
-        if np.any(std < 0):
-            raise ConfigError("std must be non-negative", path=path)
-        return cls("normal", (tuple(mean), tuple(std)))
-
-@dataclass
-class PlantModel:
-    """x+ = A x + B u + w,  y = C x + v, with a single measured output."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    x0: np.ndarray
-    process_noise: NoiseSpec = NoiseSpec()
-    measurement_noise: NoiseSpec = NoiseSpec()
-
-    @classmethod
-    def from_dict(cls, d, path="plant") -> "PlantModel":
-        _require_mapping(d, path, ("A", "B", "C", "x0", "process_noise", "measurement_noise"))
-        A = _square(d.get("A"), f"{path}.A")
-        n = A.shape[0]
-        return cls(
-            A,
-            _matrix(d.get("B"), n, None, f"{path}.B"),
-            _matrix(d.get("C"), 1, n, f"{path}.C"),
-            _vector(d.get("x0", [0.0] * n), n, f"{path}.x0"),
-            NoiseSpec.from_dict(d.get("process_noise"), n, f"{path}.process_noise"),
-            NoiseSpec.from_dict(d.get("measurement_noise"), 1, f"{path}.measurement_noise"),
-        )
-
-@dataclass
-class ControllerModel:
-    """xc+ = A xc + B yq,  u = C xc + D yq."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    x0: np.ndarray
-
-    @classmethod
-    def from_dict(cls, d, n_u, path="controller") -> "ControllerModel":
-        _require_mapping(d, path, ("A", "B", "C", "D", "x0"))
-        A = _square(d.get("A"), f"{path}.A")
-        nc = A.shape[0]
-        B = _matrix(d.get("B"), nc, 1, f"{path}.B")
-        C = _matrix(d.get("C"), n_u, nc, f"{path}.C")
-        D = _matrix(d.get("D"), n_u, 1, f"{path}.D")
-        x0 = _vector(d.get("x0", [0.0] * nc), nc, f"{path}.x0")
-        return cls(A, B, C, D, x0)
-
-@dataclass(frozen=True)
-class ThresholdSpec:
-    """Constant alarm threshold: fixed ahead of time, or calibrated from
-    attack-free runs (quantile of |residual| times a safety factor, floored
-    when the scenario is noiseless)."""
-
-    mode: str = "calibrate"
-    value: float = 0.0
-    runs: int = 100
-    quantile: float = 1.0
-    safety: float = 1.2
-    floor: float = 1e-6
-
-    @classmethod
-    def from_dict(cls, d, path="detector.threshold") -> "ThresholdSpec":
-        if d is None:
-            return cls()
-        _require_mapping(d, path, ("mode", "value", "runs", "quantile", "safety", "floor"))
-        mode = d.get("mode", "calibrate")
-        if mode not in ("fixed", "calibrate"):
-            raise ConfigError(f"unknown threshold mode {mode!r}", path=path)
-        spec = cls(
-            mode=mode,
-            value=_number(d.get("value", 0.0), f"{path}.value"),
-            runs=_integer(d.get("runs", 100), f"{path}.runs"),
-            quantile=_number(d.get("quantile", 1.0), f"{path}.quantile"),
-            safety=_number(d.get("safety", 1.2), f"{path}.safety"),
-            floor=_number(d.get("floor", 1e-6), f"{path}.floor"),
-        )
-        if not 1 <= spec.runs <= MAX_CALIBRATION_RUNS:
-            raise ConfigError(f"runs must lie in [1, {MAX_CALIBRATION_RUNS}]", path=f"{path}.runs")
-        if not 0.0 < spec.quantile <= 1.0:
-            raise ConfigError("quantile must lie in (0, 1]", path=f"{path}.quantile")
-        if spec.safety <= 0:
-            raise ConfigError("safety factor must be positive", path=f"{path}.safety")
-        for name in ("value", "floor"):
-            if getattr(spec, name) < 0:
-                raise ConfigError(f"{name} must be non-negative", path=f"{path}.{name}")
-        return spec
-
-@dataclass
-class DetectorModel:
-    """xr+ = A xr + B u + K yq,  yr = C xr + L yq; A must be Schur stable."""
-
-    A: np.ndarray
-    B: np.ndarray
-    K: np.ndarray
-    C: np.ndarray
-    L: np.ndarray
-    x0: np.ndarray
-    threshold: ThresholdSpec = ThresholdSpec()
-
-    @classmethod
-    def from_dict(cls, d, n_u, path="detector") -> "DetectorModel":
-        _require_mapping(d, path, ("A", "B", "K", "C", "L", "x0", "threshold"))
-        A = _square(d.get("A"), f"{path}.A")
-        nr = A.shape[0]
-        B = _matrix(d.get("B"), nr, n_u, f"{path}.B")
-        K = _matrix(d.get("K"), nr, 1, f"{path}.K")
-        C = _matrix(d.get("C"), 1, nr, f"{path}.C")
-        L = _matrix(d.get("L"), 1, 1, f"{path}.L")
-        x0 = _vector(d.get("x0", [0.0] * nr), nr, f"{path}.x0")
-        if np.abs(np.linalg.eigvals(A)).max() >= 1.0:
-            raise ConfigError("detector state matrix must be Schur stable", path=f"{path}.A")
-        return cls(A, B, K, C, L, x0, ThresholdSpec.from_dict(d.get("threshold"),
-                                                              f"{path}.threshold"))
-
-@dataclass(frozen=True)
-class AttackSpec:
-    """Channel rewrite active from step `start` on.
-
-    kinds: none; replay (resend the channel value recorded `window` steps
-    earlier, applied as an additive difference); bias (add a constant).
-    """
-
-    kind: str = "none"
-    start: int = 0
-    window: int = 0
-    magnitude: float = 0.0
-
-    @classmethod
-    def from_dict(cls, d, path="attack") -> "AttackSpec":
-        if d is None:
-            return cls()
-        _require_mapping(d, path, ("kind", "start", "window", "magnitude"))
-        kind = d.get("kind", "none")
-        if kind not in ("none", "replay", "bias"):
-            raise ConfigError(f"unknown attack kind {kind!r}", path=path)
-        spec = cls(
-            kind=kind,
-            start=_integer(d.get("start", 0), f"{path}.start"),
-            window=_integer(d.get("window", 0), f"{path}.window"),
-            magnitude=_number(d.get("magnitude", 0.0), f"{path}.magnitude"),
-        )
-        if kind == "replay" and spec.window < 1:
-            raise ConfigError("replay needs a positive window", path=f"{path}.window")
-        if kind != "none" and spec.start < 0:
-            raise ConfigError("start must be non-negative", path=f"{path}.start")
-        return spec
-
-def apply_attack(y_w, history, spec: AttackSpec, k: int, runs=None) -> tuple:
-    """Channel value seen by the remover at step k, plus a deferral flag.
-
-    `history` holds the true transmitted values up to and including step k.
-    Before `spec.start` the channel is untouched. A replay whose window
-    reaches before step 0 defers activation (the flag reports it) until
-    enough history exists. `y_w` may also be one step of a lockstep batch,
-    shape (R, 1, 1) with `history` of shape (steps, R, 1, 1). Given
-    `runs`, only the batch's first `runs` rows are attacked and `history`
-    holds theirs alone; the rows after them pass unchanged.
-    """
-    if spec.kind == "none" or k < spec.start:
-        return y_w, False
-    if runs is not None:
-        attacked, deferred = apply_attack(y_w[:runs], history, spec, k)
-        return np.concatenate((attacked, y_w[runs:])), deferred
-    if spec.kind == "bias":
-        return y_w + spec.magnitude, False
-    if spec.kind == "replay":
-        j = k - spec.window
-        if j < 0:
-            return y_w, True
-        return y_w + (history[j] - y_w), False
-    raise ValueError(f"unknown attack kind {spec.kind!r}")
-
-
-@dataclass
-class WatermarkSetup:
-    """Watermarking side of a scenario: the shared switching configuration,
-    the trigger rule ('none' keeps the starting taps for the whole run), and
-    the starting taps ('auto' derives them from the switching map applied to
-    0.0, a convention both endpoints share). A scenario without watermark
-    holds None in its place."""
-
-    config: SwitchingConfig
-    trigger: str = "periodic"  # periodic | threshold | none
-    period: int = 50
-    bound: float = 0.0
-    theta0: tuple[float, ...] | None = None
-
-    @classmethod
-    def from_dict(cls, d, path="watermark") -> "WatermarkSetup | None":
-        """None (no watermark) for a missing section or `"enabled": false`."""
-        if d is None:
-            return None
-        _require_mapping(d, path, ("enabled", "config", "protocol", "theta0"))
-        enabled = d.get("enabled", True)
-        if not isinstance(enabled, bool):
-            raise ConfigError(f"expected true or false, got {enabled!r}", path=f"{path}.enabled")
-        if not enabled:
-            return None
-        if "config" not in d:
-            raise ConfigError("missing switching configuration", path=f"{path}.config")
-        config = SwitchingConfig.from_dict(d["config"], path=f"{path}.config")
-        proto = _require_mapping(d.get("protocol", {"trigger": "periodic", "period": 50}),
-                                 f"{path}.protocol", ("trigger", "period", "bound"))
-        trigger = proto.get("trigger", "periodic")
-        if trigger not in ("periodic", "threshold", "none"):
-            raise ConfigError(f"unknown trigger {trigger!r}", path=f"{path}.protocol")
-        period = _integer(proto.get("period", 50), f"{path}.protocol.period")
-        if trigger == "periodic" and period < 1:
-            raise ConfigError("period must be positive", path=f"{path}.protocol.period")
-        bound = _number(proto.get("bound", 0.0), f"{path}.protocol.bound")
-        theta0 = d.get("theta0", "auto")
-        if theta0 == "auto" or theta0 is None:
-            theta0 = None
-        elif isinstance(theta0, list) and len(theta0) == config.n_h + 1:
-            try:
-                theta0 = admissible_taps(_numbers(theta0, f"{path}.theta0"))
-            except ParameterError as exc:
-                raise ConfigError(str(exc), path=f"{path}.theta0") from exc
-        else:
-            raise ConfigError(f'expected "auto" or a list of {config.n_h + 1} taps',
-                              path=f"{path}.theta0")
-        return cls(config=config, trigger=trigger, period=period, bound=bound, theta0=theta0)
-
-    def fires(self, k: int, signal) -> bool:
-        """Whether the trigger fires at step k on `signal`: every `period`
-        steps from k = period on, on the open half-line signal > bound, or
-        never. An (R, 1, 1) signal gives one bool per row for 'threshold'."""
-        if self.trigger == "periodic":
-            return k > 0 and k % self.period == 0
-        if self.trigger == "threshold":
-            return signal > self.bound
-        return False
-
-    def initial_theta(self):
-        if self.theta0 is not None:
-            return self.theta0
-        return sigma(0.0, self.config)
-
-
-@dataclass
-class Scenario:
-    """One complete closed-loop setup, loadable from a JSON file.
-
-    `source` is the JSON object a scenario was parsed from by `from_json`
-    (and so `load`), with the secret scalar `watermark.config.l` replaced by
-    "redacted"; runs echo it to `trace_meta.json`. It is None for scenarios
-    built with `from_dict` or in code, and for those derived with
-    `dataclasses.replace`: an `init=False` field is not copied, so a derived
-    scenario never echoes a file it no longer matches.
-    """
-
-    plant: PlantModel
-    controller: ControllerModel
-    detector: DetectorModel
-    watermark: WatermarkSetup | None  # None runs the loop without watermark
-    attack: AttackSpec = AttackSpec()
-    horizon: int = 1000
-    seed: int = 0
-    source: dict | None = field(default=None, init=False, compare=False, repr=False)
-
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "scenario") -> "Scenario":
-        if not isinstance(data, dict):
-            raise ConfigError("scenario must be a JSON object", path=path)
-        _check_keys(data, ("horizon", "seed", "plant", "controller", "detector", "watermark",
-                           "attack"), path)
-        for key in ("plant", "controller", "detector"):
-            if key not in data:
-                raise ConfigError("missing required section", path=f"{path}.{key}")
-        horizon = _integer(data.get("horizon", 1000), f"{path}.horizon")
-        if not 1 <= horizon <= MAX_HORIZON:
-            raise ConfigError(f"horizon must lie in [1, {MAX_HORIZON}]", path=f"{path}.horizon")
-        plant = PlantModel.from_dict(data["plant"], f"{path}.plant")
-        n_u = plant.B.shape[1]
-        controller = ControllerModel.from_dict(data["controller"], n_u, f"{path}.controller")
-        detector = DetectorModel.from_dict(data["detector"], n_u, f"{path}.detector")
-        spec = detector.threshold
-        if spec.mode == "calibrate" and spec.runs * horizon > MAX_CALIBRATION_STEPS:
-            raise ConfigError(f"runs x horizon must not exceed {MAX_CALIBRATION_STEPS} "
-                              f"(got {spec.runs} x {horizon})",
-                              path=f"{path}.detector.threshold.runs")
-        scenario = cls(
-            plant=plant,
-            controller=controller,
-            detector=detector,
-            watermark=WatermarkSetup.from_dict(data.get("watermark"), f"{path}.watermark"),
-            attack=AttackSpec.from_dict(data.get("attack"), f"{path}.attack"),
-            horizon=horizon,
-            seed=_integer(data.get("seed", 0), f"{path}.seed"),
-        )
-        if scenario.seed < 0:
-            raise ConfigError("seed must be non-negative", path=f"{path}.seed")
-        scenario.check_closed_loop(path=path)
-        return scenario
-
-    def check_closed_loop(self, path: str = "scenario") -> None:
-        """The loop plant + controller (watermark transparent) must be Schur."""
-        A_p, B_p, C_p = self.plant.A, self.plant.B, self.plant.C
-        A_c, B_c, C_c, D_c = (self.controller.A, self.controller.B,
-                              self.controller.C, self.controller.D)
-        top = np.hstack([A_p + B_p @ D_c @ C_p, B_p @ C_c])
-        bottom = np.hstack([B_c @ C_p, A_c])
-        closed = np.vstack([top, bottom])
-        # finite entries can still overflow in the products above
-        finite = np.all(np.isfinite(closed))
-        radius = float(np.abs(np.linalg.eigvals(closed)).max()) if finite else math.inf
-        if radius >= 1.0:
-            raise ConfigError(
-                f"closed loop is not Schur stable (spectral radius {radius:.4g})",
-                path=f"{path}.controller",
-            )
-
-    @classmethod
-    def from_json(cls, text: str | bytes, path: str = "scenario") -> "Scenario":
-        data = _json_document(text, path)
-        scenario = cls.from_dict(data, path=path)
-        # the parsed object has no other holder, so it is kept without a copy
-        wm = data.get("watermark")
-        config = wm.get("config") if isinstance(wm, dict) else None
-        if isinstance(config, dict) and "l" in config:
-            config["l"] = "redacted"
-        scenario.source = data
-        return scenario
-
-    @classmethod
-    def load(cls, filename) -> "Scenario":
-        with open(filename, "rb") as fh:
-            return cls.from_json(fh.read(), path=str(filename))
 
 
 @dataclass
@@ -600,41 +185,31 @@ class SimTrace:
                 "metadata": str(out / "trace_meta.json")}
 
 
-def _noise_chunks(rng: np.random.Generator, plant: PlantModel, n: int, rows: int):
-    """The noise of an n-step run as consecutive (rows, 1 + n_x) blocks (the
-    last may be shorter); row k is (v_k, w_k).
+def _noise_block(rng: np.random.Generator, plant: PlantModel, rows: int) -> np.ndarray:
+    """The next `rows` steps of a run's noise, drawn from its stream `rng`,
+    as a (rows, 1 + n_x) block whose row k is (v_k, w_k).
 
     Values and stream order equal a per-step draw of the measurement noise,
     then the process noise, for any `rows`: numpy fills a draw in C order,
     so consecutive blocks continue one stream. Sources of one kind (a `none`
-    source draws nothing) take one call per block with their parameters
-    concatenated; uniform mixed with normal noise is drawn row by row.
+    source draws nothing) take one call with their parameters concatenated;
+    uniform mixed with normal noise is drawn row by row.
     """
-    width = 1 + plant.A.shape[0]
+    block = np.zeros((rows, 1 + plant.A.shape[0]))
     sources = [(spec, cols) for spec, cols in ((plant.measurement_noise, slice(0, 1)),
                                                (plant.process_noise, slice(1, None)))
                if spec.kind != "none"]
     draw = {"uniform": rng.uniform, "normal": rng.normal}
-    one_kind = len({spec.kind for spec, _ in sources}) == 1
-    if one_kind:
-        kind = sources[0][0].kind
+    if len({spec.kind for spec, _ in sources}) == 1:
         a = sum((spec.params[0] for spec, _ in sources), ())
         b = sum((spec.params[1] for spec, _ in sources), ())
         cols = slice(sources[0][1].start, sources[-1][1].stop)
-    for start in range(0, n, rows):
-        size = min(rows, n - start)
-        if one_kind and len(a) == width:
-            # one kind over every column: the draw is the block
-            yield draw[kind](a, b, (size, width))
-            continue
-        block = np.zeros((size, width))
-        if one_kind:
-            block[:, cols] = draw[kind](a, b, (size, len(a)))
-        elif sources:
-            for row in block:
-                for spec, cols in sources:
-                    row[cols] = draw[spec.kind](*spec.params)
-        yield block
+        block[:, cols] = draw[sources[0][0].kind](a, b, (rows, len(a)))
+    elif sources:
+        for row in block:
+            for spec, cols in sources:
+                row[cols] = draw[spec.kind](*spec.params)
+    return block
 
 
 def calibrate_threshold(scenario: Scenario) -> float:
@@ -704,13 +279,15 @@ def run_batch(scenario: Scenario, seeds, *, horizon: int | None = None,
 _COLUMNS = ("y_p", "y_w", "y_w_tilde", "y_q", "u", "y_r")
 
 
-def _check_step(k: int, signals, states: dict) -> InputError | DivergenceError | None:
-    """The error behind a failed pre-test at step k, or None when no row
-    fails. `states` maps block names to (R, n, 1) states, in plant,
-    controller, detector order. For the lowest row index that fails, the
-    error is InputError for a non-finite watermark input (as
-    WatermarkUnit.step raises), else DivergenceError for its first state
-    block beyond STATE_OVERFLOW or non-finite."""
+def _check_step(k: int, signals, states: dict) -> tuple[EcwmError, bool] | None:
+    """The error behind a failed pre-test at step k, and whether it comes
+    before the attack in the step's order; None when no row fails.
+    `signals` are the watermark inputs (y_p, y_w_tilde), or none, and
+    `states` maps block names to (R, n, 1) states, in plant, controller,
+    detector order. For the lowest row index that fails, the error is
+    InputError for a non-finite watermark input (as WatermarkUnit.step
+    raises; the generator's comes before the attack), else DivergenceError
+    for its first state block beyond STATE_OVERFLOW or non-finite."""
     peaks = {name: np.abs(x).max(axis=(1, 2)) for name, x in states.items()}
     failing = [~np.isfinite(s).ravel() for s in signals]
     failing += [~(p <= STATE_OVERFLOW) for p in peaks.values()]
@@ -718,24 +295,13 @@ def _check_step(k: int, signals, states: dict) -> InputError | DivergenceError |
     if not runs.size:
         return None
     i = runs[0]
-    for signal in signals:
+    for m, signal in enumerate(signals):
         value = float(signal[i, 0, 0])
         if not math.isfinite(value):
-            return InputError(f"sample must be finite, got {value!r}")
+            return InputError(f"sample must be finite, got {value!r}"), m == 0
     for name, peak in peaks.items():
         if not peak[i] <= STATE_OVERFLOW:
-            return DivergenceError(name, k, float(peak[i]))
-    return None
-
-
-def _generator_failed(failure, y_p, y_wt) -> bool:
-    """Whether `failure`, _check_step's error at a step with watermark inputs
-    y_p and y_wt, is the generator's InputError: the lowest row with a
-    non-finite input fails on y_p. Otherwise it comes after the attack."""
-    if not isinstance(failure, InputError):
-        return False
-    bad_p = ~np.isfinite(y_p).ravel()
-    return bool(bad_p[np.flatnonzero(bad_p | ~np.isfinite(y_wt).ravel())[0]])
+            return DivergenceError(name, k, float(peak[i])), False
 
 
 def _block_rows(n_rows: int, noise_width: int, signal_width: int) -> tuple[int, int]:
@@ -815,8 +381,7 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
     # per row and step the signal buffers hold y_p, y_w_tilde, y_q, y_r, u,
     # the detector state and K y_q
     block_rows, noise_rows = _block_rows(n_rows, width, 4 + n_u + 2 * n_r)
-    noise = [_noise_chunks(np.random.default_rng(seed), plant, horizon, noise_rows)
-             for seed in all_seeds]
+    rngs = [np.random.default_rng(seed) for seed in all_seeds]
     block = np.empty((min(noise_rows, horizon), n_rows, width))
     size = min(block_rows, horizon)
     yp_blk, ywt_blk, yq_blk, yr_blk = (np.empty((size, n_rows, 1, 1)) for _ in range(4))
@@ -842,23 +407,27 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
         reg_w = reg_q = (np.zeros((n_rows, 1, 1)),) * (len(theta) - 1)
         tap_record = [[(0, theta, theta)] for _ in all_seeds]
     pend_w, pend_q = {}, {}  # row index -> the signal its trigger fired on
-    deferred_at = -1  # the first step whose replay was deferred
+    # the step whose deferral is logged: the first attacked step of a replay
+    # whose window reaches before step 0
+    first = max(attack.start, 0)
+    deferred_at = first if attack.kind == "replay" and first < attack.window else -1
 
     for start in range(0, horizon, block_rows):
         if start % noise_rows == 0:
             # every row's next noise block side by side: (rows, R, 1 + n_x)
-            for i, stream in enumerate(noise):
-                chunk = next(stream)
-                block[:len(chunk), i] = chunk
+            drawn = min(noise_rows, horizon - start)
+            for i, rng in enumerate(rngs):
+                block[:drawn, i] = _noise_block(rng, plant, drawn)
         rows = min(block_rows, horizon - start)
         at = start % noise_rows
         v, w = block[at:at + rows, :, :1, None], block[at:at + rows, :, 1:, None]
-        # the loop's error, the index of the step it comes from, and the
-        # number of steps whose detector inputs the buffers hold
-        failure, failed, done = None, -1, rows
+        # the loop's error, the index of the step it comes from, whether it
+        # comes before that step's attack, and the number of steps whose
+        # detector inputs the buffers hold
+        failure, failed, before, done = None, -1, False, rows
 
         steps = zip(yp_blk, ywt_blk, yq_blk, u_blk, v, w, history[start:start + rows])
-        for j, (y_p, ywt_j, yq_j, u, v_j, w_j, yw_j) in enumerate(steps):
+        for j, (y_p, y_wt, yq_j, u, v_j, w_j, yw_j) in enumerate(steps):
             k = start + j
 
             # 1. apply pending switches (between samples); each distinct key is
@@ -870,7 +439,7 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
                                for key, theta in zip(keys, sigma_block(np.array(keys), wm.config))}
                 except EcwmError as exc:
                     # raised below, unless the detector diverged at an earlier step
-                    failure, failed, done = exc, j, j
+                    failure, failed, before, done = exc, j, True, j
                     break
                 for pend, table in ((pend_w, table_w), (pend_q, table_q)):
                     if pend:
@@ -889,10 +458,9 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
             # 3. watermark, channel, attack, remover
             y_w = y_p if wm is None else fir_step(b_w, reg_w, y_p, True)
             yw_j[...] = y_w[run]
-            y_wt, deferred = apply_attack(y_w, history, attack, k, n_runs)
-            if deferred and deferred_at < 0:
-                deferred_at = k  # logged after the block's guard
-            ywt_j[...] = y_wt
+            # the runs are attacked; the calibration rows after them pass unchanged
+            y_wt[...] = y_w
+            y_wt[run] = apply_attack(y_w[run], history, attack, k)[0]
             if wm is None:
                 y_q = y_wt
             else:
@@ -913,10 +481,10 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
             # looks for the run: many runs within the bound can sum past it.
             if not (np.vdot(x_p, x_p) + np.vdot(x_c, x_c) <= STATE_OVERFLOW_SQ
                     or all(np.abs(x).max() <= STATE_OVERFLOW for x in (x_p, x_c))):
-                failure = _check_step(k, () if wm is None else (y_p, y_wt),
-                                      {"plant": x_p, "controller": x_c})
-                if failure is not None:
-                    failed, done = j, j + 1
+                found = _check_step(k, () if wm is None else (y_p, y_wt),
+                                    {"plant": x_p, "controller": x_c})
+                if found is not None:
+                    (failure, before), failed, done = found, j, j + 1
                     break
 
             # 6. triggers for the next step, keyed on this sample's signals
@@ -941,15 +509,14 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
             if j == failed:
                 states = {"plant": x_p, "controller": x_c, **states}
             signals = () if wm is None else (yp_blk[j], ywt_blk[j])
-            error = _check_step(start + j, signals, states)
-            if error is not None:
-                failure, failed = error, j
+            found = _check_step(start + j, signals, states)
+            if found is not None:
+                (failure, before), failed = found, j
         # the deferral warning at step j, if a run stepped on its own reaches
         # that step's attack: no failure, a later one, or one at step j after
-        # the attack (any but the generator's InputError)
+        # the attack
         j = deferred_at - start
-        if 0 <= j < rows and (failure is None or failed > j or (
-                failed == j and not _generator_failed(failure, yp_blk[j], ywt_blk[j]))):
+        if 0 <= j < rows and (failure is None or failed > j or (failed == j and not before)):
             log.warning("replay attack at step %d lacks %d steps of history; activation deferred",
                         deferred_at, attack.window - deferred_at)
         if failure is not None:

@@ -25,7 +25,6 @@ configuration.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -35,6 +34,7 @@ import numpy as np
 
 from .curve import Curve, Point
 from .errors import CapacityError, ConfigError, ConfigurationWarning, InputError, ParameterError
+from .schema import integer, json_document, number, numbers, required, section
 
 __all__ = [
     "FirParams",
@@ -125,55 +125,6 @@ def admissible_taps(params, count: int | None = None) -> tuple[float, ...]:
     if count is not None and len(taps) != count:
         raise ParameterError(f"tap count changed from {count} to {len(taps)}")
     return taps
-
-
-def _integer(value, path) -> int:
-    """An integer field; integral floats such as 60.0 pass, bools and 2.7 do not."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"expected an integer, got {value!r}", path=path)
-    return value
-
-
-def _number(value, path) -> float:
-    """A finite real field; bools, strings and NaN/inf do not pass."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"expected a number, got {value!r}", path=path)
-    try:
-        number = float(value)
-    except OverflowError as exc:
-        raise ConfigError(f"number out of range: {exc}", path=path) from exc
-    if not math.isfinite(number):
-        raise ConfigError("must be finite", path=path)
-    return number
-
-
-def _numbers(value, path) -> tuple[float, ...]:
-    """A list of finite real fields."""
-    if not isinstance(value, list):
-        raise ConfigError(f"expected a list of numbers, got {value!r}", path=path)
-    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
-
-
-def _check_keys(data: dict, keys, path: str) -> None:
-    """ConfigError at the first key of a section, in file order, that is not
-    one of `keys`: a misspelt optional field would otherwise take its
-    default without a word."""
-    for key in data:
-        if key not in keys:
-            raise ConfigError(f"unknown field (expected one of: {', '.join(keys)})",
-                              path=f"{path}.{key}")
-
-
-def _json_document(data: str | bytes, path: str):
-    """The JSON document in data, text or UTF-8 bytes. Bytes that are not
-    UTF-8, invalid JSON (a BOM too, an integer past int's digit limit) and
-    nesting too deep for the parser raise ConfigError at path."""
-    try:
-        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
-    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
-        raise ConfigError(f"invalid JSON: {exc}", path=path) from exc
 
 
 # squashed second tap never exceeds this in magnitude
@@ -321,10 +272,6 @@ def eta2(b_raw, *, floor: float, slope: float, margin: float) -> FirParams:
     return FirParams((b0, b1) + tuple((v / denom) * (headroom - eps) for v in tail))
 
 
-# the fields of a switching configuration file, in `to_dict` order
-_CONFIG_KEYS = ("curve", "l", "n_h", "alpha", "eta1", "eta_floor", "eta_margin", "eta_slope")
-
-
 @dataclass(frozen=True)
 class SwitchingConfig:
     """The shared secret material held by both endpoints.
@@ -403,32 +350,23 @@ class SwitchingConfig:
 
     @classmethod
     def from_dict(cls, data: dict, path: str = "config") -> "SwitchingConfig":
-        def need(d, key, where):
-            if not isinstance(d, dict) or key not in d:
-                raise ConfigError("missing required field", path=f"{where}.{key}")
-            return d[key]
-
-        if isinstance(data, dict):
-            _check_keys(data, _CONFIG_KEYS, path)
-            for key, keys in (("curve", ("s", "a", "b")), ("alpha", ("x", "y"))):
-                if isinstance(data.get(key), dict):
-                    _check_keys(data[key], keys, f"{path}.{key}")
-        curve_d = need(data, "curve", path)
-        a, b, s = (_integer(need(curve_d, key, f"{path}.curve"), f"{path}.curve.{key}")
+        data = section(data, path, ("curve", "l", "n_h", "alpha", "eta1", "eta_floor",
+                                    "eta_margin", "eta_slope"))
+        curve = section(required(data, "curve", path), f"{path}.curve", ("s", "a", "b"))
+        alpha = section(required(data, "alpha", path), f"{path}.alpha", ("x", "y"))
+        a, b, s = (integer(required(curve, key, f"{path}.curve"), f"{path}.curve.{key}")
                    for key in ("a", "b", "s"))
-        alpha = need(data, "alpha", path)
-        rows = need(data, "eta1", path)
+        rows = required(data, "eta1", path)
         if not isinstance(rows, list):
             raise ConfigError("expected a list of coefficient rows", path=f"{path}.eta1")
         fields = dict(
-            l=_integer(need(data, "l", path), f"{path}.l"),
-            alpha_x=_numbers(need(alpha, "x", f"{path}.alpha"), f"{path}.alpha.x"),
-            alpha_y=_numbers(need(alpha, "y", f"{path}.alpha"), f"{path}.alpha.y"),
-            eta1_rows=tuple(_numbers(row, f"{path}.eta1[{i}]") for i, row in enumerate(rows)),
-            n_h=_integer(need(data, "n_h", path), f"{path}.n_h"),
-            eta_floor=_number(data.get("eta_floor", 1.0), f"{path}.eta_floor"),
-            eta_margin=_number(data.get("eta_margin", 0.05), f"{path}.eta_margin"),
-            eta_slope=_number(data.get("eta_slope", 1.0), f"{path}.eta_slope"),
+            l=integer(required(data, "l", path), f"{path}.l"),
+            alpha_x=numbers(required(alpha, "x", f"{path}.alpha"), f"{path}.alpha.x"),
+            alpha_y=numbers(required(alpha, "y", f"{path}.alpha"), f"{path}.alpha.y"),
+            eta1_rows=tuple(numbers(row, f"{path}.eta1[{i}]") for i, row in enumerate(rows)),
+            n_h=integer(required(data, "n_h", path), f"{path}.n_h"),
+            **{key: number(data[key], f"{path}.{key}")
+               for key in ("eta_floor", "eta_margin", "eta_slope") if key in data},
         )
         try:
             return cls(curve=Curve(a, b, s), **fields)
@@ -452,7 +390,7 @@ class SwitchingConfig:
 
     @classmethod
     def from_json(cls, text: str | bytes, path: str = "config") -> "SwitchingConfig":
-        return cls.from_dict(_json_document(text, path), path=path)
+        return cls.from_dict(json_document(text, path), path=path)
 
     @classmethod
     def load(cls, filename) -> "SwitchingConfig":

@@ -19,7 +19,7 @@ from ecwatermark.sim import (
     AttackSpec,
     Scenario,
     SimTrace,
-    _noise_chunks,
+    _noise_block,
     apply_attack,
 )
 from ecwatermark.switching import sigma
@@ -103,7 +103,7 @@ def oracle_run(scenario: Scenario, *, horizon: int | None = None,
     pend_w_input = pend_q_input = 0.0
     replay_deferred_logged = False
     # the whole run's noise as one block: the stream does not depend on the block size
-    block = next(_noise_chunks(np.random.default_rng(seed), plant, n, n))
+    block = _noise_block(np.random.default_rng(seed), plant, n)
     v_col, w_blk = block[:, 0].tolist(), block[:, 1:]
 
     for k in range(n):

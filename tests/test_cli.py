@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ecwatermark import ConfigurationWarning, Curve, Scenario, shipped
 from ecwatermark.cli import build_parser, main
-from ecwatermark.sim import MAX_CALIBRATION_STEPS, MAX_HORIZON
+from ecwatermark.scenario import MAX_CALIBRATION_STEPS, MAX_HORIZON
 
 from conftest import JSON_LIKE, leaf_paths, order_by_factor_stripping
 

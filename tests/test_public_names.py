@@ -1,5 +1,7 @@
 """Every public name the package declares resolves: a deleted function left
-behind in an `__all__` list or in the package's own imports fails here."""
+behind in an `__all__` list or in the package's own imports fails here. And
+no package module imports another's private name: a helper two modules
+share is public in the module that owns it."""
 
 import ast
 import importlib
@@ -38,3 +40,13 @@ def test_package_imports_exist():
                if not hasattr(importlib.import_module(module), name)
                or not hasattr(ecwatermark, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("path", sorted(Path(ecwatermark.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_private_name_crosses_modules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = [(node.lineno, node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -31,7 +31,7 @@ from ecwatermark import (
     shipped,
 )
 from ecwatermark import sim
-from ecwatermark.sim import _noise_chunks
+from ecwatermark.sim import _noise_block
 from conftest import JSON_LIKE, leaf_paths, small_scenario_dict
 from sim_oracle import oracle_run, oracle_threshold
 
@@ -109,6 +109,24 @@ def test_nan_matrix_reports_path(section, key):
     with pytest.raises(ConfigError) as err:
         Scenario.from_dict(d)
     assert f"{section}.{key}" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", ["1.0", True], ids=["string", "bool"])
+@pytest.mark.parametrize("edit,path", [
+    (lambda d, bad: d["plant"].update(A=[[bad]]), "plant.A[0][0]"),
+    (lambda d, bad: d["detector"].update(L=[[bad]]), "detector.L[0][0]"),
+    (lambda d, bad: d["plant"].update(x0=[bad]), "plant.x0[0]"),
+    (lambda d, bad: d["plant"].update(measurement_noise={
+        "kind": "uniform", "low": [-0.1], "high": [bad]}), "plant.measurement_noise.high[0]"),
+], ids=["matrix", "gain", "vector", "noise-bound"])
+def test_array_entries_follow_the_number_rule(edit, path, bad):
+    # a numeric string or a bool is no number in a matrix or vector either,
+    # as in every scalar field
+    d = small_scenario_dict()
+    edit(d, bad)
+    with pytest.raises(ConfigError, match="expected a number") as err:
+        Scenario.from_dict(d)
+    assert err.value.path == f"scenario.{path}"
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -260,22 +278,6 @@ def test_replay_deferral_logged(caplog):
     with caplog.at_level(logging.WARNING, logger="ecwatermark.sim"):
         run_scenario(sc)
     assert any("deferred" in rec.message for rec in caplog.records)
-
-
-@pytest.mark.parametrize("spec", [
-    AttackSpec(kind="bias", start=3, magnitude=0.5),
-    AttackSpec(kind="replay", start=3, window=2),
-])
-def test_attack_on_leading_runs_leaves_other_rows_unchanged(spec):
-    rng = np.random.default_rng(3)
-    history = rng.normal(size=(6, 2, 1, 1))  # the two attacked runs' values only
-    y_w = np.concatenate((history[5], rng.normal(size=(3, 1, 1))))
-    before = y_w.copy()
-    value, deferred = apply_attack(y_w, history, spec, 5, runs=2)
-    alone, _ = apply_attack(y_w[:2], history, spec, 5)
-    assert np.array_equal(value[:2], alone) and np.array_equal(value[2:], before[2:])
-    assert not np.array_equal(value[:2], before[:2]) and not deferred
-    assert np.array_equal(y_w, before)  # the input is not written to
 
 
 def test_unknown_attack_kind_rejected():
@@ -513,17 +515,19 @@ def test_divergence_pretest_falls_through_to_block_checks(scenario, block, step,
     assert err.value.magnitude == peak or (math.isnan(peak) and math.isnan(err.value.magnitude))
 
 
-def _watermarked(scenario, c_p, b0):
-    """`scenario` with plant output gain c_p and the constant taps (b0, 0, 0)."""
+def _watermarked(scenario, c_p, b0, protocol=None):
+    """`scenario` with plant output gain c_p and the starting taps (b0, 0, 0),
+    kept for the whole run unless `protocol` switches them."""
     d = small_scenario_dict()
     d["watermark"] = {"enabled": True, "config": json.loads(shipped.data_text("demo_config.json")),
-                      "protocol": {"trigger": "none"}, "theta0": [b0, 0.0, 0.0]}
+                      "protocol": protocol or {"trigger": "none"}, "theta0": [b0, 0.0, 0.0]}
     return dataclasses.replace(scenario, watermark=Scenario.from_dict(d).watermark,
                                plant=dataclasses.replace(scenario.plant, C=np.array([[c_p]])))
 
 
 @pytest.mark.parametrize("scenario, start", [
     (_held_scenario([[1.0]], [0.0]), 3),  # no failure
+    (_held_scenario([[1.0]], [0.0]), -5),  # a start before step 0, as code may build it
     (_held_scenario([[1.0]], [0.0], det_x0=-2e12), 3),  # the detector state fails at step 0
     (_held_scenario([[2.0]], [1e11]), 3),  # the plant state fails at step 3, after the attack
     (_held_scenario([[2.0]], [1e11]), 4),  # ... and before the attack starts
@@ -531,8 +535,12 @@ def _watermarked(scenario, c_p, b0):
     (_watermarked(_held_scenario([[1e300]], [1e-290]), 1e299, 1.0), 1),
     # y_p = 1e8, then 1e308 at step 1, and y_w = 2 y_p = inf: the remover fails
     (_watermarked(_held_scenario([[1e300]], [1e-290]), 1e298, 2.0), 1),
-], ids=["no-failure", "detector-before", "plant-at", "plant-before", "generator-at",
-        "remover-at"])
+    # y_p = 1e200 throughout: the switch keyed on step 2's y_p fails to scale
+    # it at step 3, before the attack
+    (_watermarked(_held_scenario([[1.0]], [10.0]), 1e199, 1.0,
+                  {"trigger": "periodic", "period": 2}), 3),
+], ids=["no-failure", "negative-start", "detector-before", "plant-at", "plant-before",
+        "generator-at", "remover-at", "switch-at"])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_replay_deferral_logged_as_per_step_run(scenario, start, caplog):
     # the batch logs the deferral only if a run stepped on its own would have
@@ -596,9 +604,8 @@ def test_noise_block_matches_per_step_draw(measurement, process, seed):
     for size, short in ((1024, 300), (7, 3)):
         n = 2 * size + short
         rng_block, rng_step = np.random.default_rng(seed), np.random.default_rng(seed)
-        chunks = list(_noise_chunks(rng_block, plant, n, size))
-        assert [len(c) for c in chunks] == [size, size, short]
-        block = np.concatenate(chunks)
+        block = np.concatenate([_noise_block(rng_block, plant, rows)
+                                for rows in (size, size, short)])
         rows = [np.concatenate([_per_step_noise(rng_step, v_section, 1),
                                 _per_step_noise(rng_step, w_section, 2)]) for _ in range(n)]
         assert block.shape == (n, 3) and block.dtype == np.float64
@@ -610,19 +617,21 @@ def test_noise_block_matches_per_step_draw(measurement, process, seed):
 def test_noise_block_rows_follow_the_value_budget(monkeypatch):
     sizes = []
 
-    def spy(rng, plant, n, rows):
+    def spy(rng, plant, rows):
         sizes.append(rows)
-        return _noise_chunks(rng, plant, n, rows)
+        return _noise_block(rng, plant, rows)
 
-    monkeypatch.setattr(sim, "_noise_chunks", spy)
+    monkeypatch.setattr(sim, "_noise_block", spy)
     # 100 runs of a 200-state plant with 7 signal values per step: signal
     # blocks of 11 steps take their share of the budget, and the noise of 12
-    # steps fits the rest, cut to whole signal blocks: 11 steps, not 1024
-    run_batch(_held_scenario(np.eye(200) * 0.5, np.zeros(200)), range(100))
+    # steps fits the rest, cut to whole signal blocks: 11 steps, not 1024; a
+    # 12-step run then draws one more step per run
+    run_batch(dataclasses.replace(_held_scenario(np.eye(200) * 0.5, np.zeros(200)), horizon=12),
+              range(100))
     signal_rows = sim.NOISE_BLOCK_VALUES // (sim.STEP_BLOCK_SHARE * 100 * 7)
     noise_rows = (sim.NOISE_BLOCK_VALUES - signal_rows * 100 * 7) // (100 * 201)
     assert (signal_rows, noise_rows) == (11, 12)
-    assert sizes == [11] * 100
+    assert sizes == [11] * 100 + [1] * 100
 
 
 # -- lockstep batch ------------------------------------------------------------------
@@ -750,6 +759,9 @@ _MERGED_CASES = {
                                         detector__threshold=_CALIBRATED), [5, 6]),
     "fixed_threshold": (lambda: _scenario("replay", 1300, detector__threshold={
         "mode": "fixed", "value": 0.18}), [5, 6]),
+    # the runs are attacked, the calibration rows after them are not
+    "bias": (lambda: _scenario("nominal", 400, detector__threshold=_CALIBRATED, attack={
+        "kind": "bias", "start": 150, "magnitude": 0.5}), [5, 6]),
 }
 
 

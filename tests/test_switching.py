@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -31,7 +32,7 @@ from ecwatermark import (
     shipped,
     validate_theta,
 )
-from ecwatermark.switching import admissible_taps
+from ecwatermark.switching import _tap_row, admissible_taps
 from conftest import random_switching_config
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -384,6 +385,27 @@ def test_tap_table_rows_equal_staged_derivation(demo_cfg, curve, l, sample):
         theta = sigma(1.0, at_i)
         assert theta.taps == expected
         assert at_i.tap_table[i] is theta
+
+
+# (rows, SHA-256 of their float64 bytes) of the demo config's whole tap
+# image: every tap_table row, in point order, on its own curve and on
+# (2, 3, 307). eta1 runs CPython's own math.hypot, not the host's libm, so a
+# Python release that rounds it differently changes these digests, also on
+# rows that no golden run reaches.
+_TAP_IMAGES = {
+    (2, 2, 17): (18, "6d627eaa176b163258fe1bb814009d473c68ae3ba58393e24843645382d745fb"),
+    (2, 3, 307): (309, "2f1a9ac4a59121d40fd5b30815c12f24c3465ada79ac166353c4458d0bebcc30"),
+}
+
+
+@pytest.mark.parametrize("curve", list(_TAP_IMAGES), ids=["s17", "s307"])
+def test_shipped_tap_image_is_pinned(demo_cfg, curve):
+    data = demo_cfg.to_dict()
+    data["curve"] = dict(zip("abs", curve))
+    cfg = SwitchingConfig.from_dict(data)
+    rows = np.array([_tap_row(i, cfg).taps for i in range(len(cfg.tap_table))])
+    assert rows.dtype == np.float64
+    assert (len(rows), hashlib.sha256(rows.tobytes()).hexdigest()) == _TAP_IMAGES[curve]
 
 
 def test_sigma_equals_staged_sigma_on_miss_and_hit():
