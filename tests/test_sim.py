@@ -762,6 +762,9 @@ _MERGED_CASES = {
     # the runs are attacked, the calibration rows after them are not
     "bias": (lambda: _scenario("nominal", 400, detector__threshold=_CALIBRATED, attack={
         "kind": "bias", "start": 150, "magnitude": 0.5}), [5, 6]),
+    "replay_window": (lambda: _scenario("nominal", 400, detector__threshold=_CALIBRATED,
+                                        attack={"kind": "replay", "start": 150,
+                                                "window": 100}), [5, 6]),
 }
 
 
