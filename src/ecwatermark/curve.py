@@ -10,16 +10,20 @@ the projection and the switching map read those arrays, and Point objects
 are built only for callers that ask (affine_points, affine_point); point
 orders come from walks of cyclic subgroups, one point's (point_order)
 or every point's (point_orders); the nearest affine point to a real query is
-an exact float64 search over one band of x-columns around the query, with
-the whole curve as the fallback. One scan, _squared_distances, holds the
-projection's float operations; nearest_index runs it for one query and
-nearest_indices for blocks of queries, so the two entry points cannot
-disagree.
+an exact float64 search over the points near the query, with the whole
+curve as the fallback. Two scans compute the projection's distances with the
+same float operations, (px - x)*(px - x) + (py - y)*(py - y), and the same
+tie rule: nearest_index scans one square cell's candidates in plain floats
+on curves up to CELL_TABLE_MAX_S, and _squared_distances scans bands of
+x-columns in numpy for nearest_indices, for larger curves' nearest_index and
+for every fallback. The tests hold the two equal to each other and to a
+whole-curve list scan.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +58,14 @@ INFINITY = Point(None, None)
 # 2-core Xeon VM (48 KB L1d per core), _squared_distances took about 4.3 ns
 # per distance at 2^14 distances and 9.5 to 12 ns from 2^15 up.
 BLOCK_DISTANCES = 1 << 14
+
+# nearest_index scans a cell table in plain floats on curves with s up to
+# this bound, and the numpy column bands above it. Filled, the table takes
+# about 260 bytes per affine point (0.49 MB under tracemalloc at s = 2039).
+# Each endpoint keeps its own, so the bound keeps it out of the set-up and
+# memory of curves near the enumeration bound, where numpy's per-call cost
+# is small against the band scan.
+CELL_TABLE_MAX_S = 2048
 
 
 def _squared_distances(xs, ys, x, y):
@@ -98,6 +110,9 @@ class Curve:
         self._width = 0
         self._buckets: list[tuple] = []
         self._whole: tuple = ()
+        # nearest_index's cell table, made on its first use (_cell_grid)
+        self._grid: tuple | None = None
+        self._cell_points: tuple = ()
 
     def __repr__(self) -> str:
         return f"Curve(a={self.a}, b={self.b}, s={self.s})"
@@ -207,7 +222,8 @@ class Curve:
         return Point(xs.item(i), ys.item(i))
 
     def _build_buckets(self, xs: np.ndarray, ys: np.ndarray) -> None:
-        """Cut the columns [0, s) into buckets of W columns for nearest_index.
+        """Cut the columns [0, s) into buckets of W columns for nearest_indices,
+        and for nearest_index's scan past its cell table.
 
         Bucket b holds views of the points in columns [(b-1)W, (b+2)W): one
         contiguous index range [lo, hi), since the points are sorted by x.
@@ -291,27 +307,52 @@ class Curve:
     def nearest_index(self, x: float, y: float) -> int:
         """Index into affine_points() of the point nearest to (x, y).
 
-        Distances are float64 squared Euclidean distances from the one scan,
-        _squared_distances, which nearest_indices runs too. Ties resolve to
-        the lexicographically smallest point: the point list is sorted and
-        argmin returns the first minimum. The switching map projects through
+        Distances are float64 squared Euclidean distances,
+        (px - x)*(px - x) + (py - y)*(py - y) in that order, and ties resolve
+        to the lexicographically smallest point: the points are sorted and
+        each scan keeps the first minimum. The switching map projects through
         this entry point and the partition export and sweeps through
-        nearest_indices, so they can never disagree.
+        nearest_indices, which give the same answers bit for bit.
 
-        A query with 0 <= x < s scans only its column bucket: the points in
-        the columns within W of the query's bucket of W columns. Every point
-        outside that band lies at least W columns away, so, rounding being
-        monotone, its float distance is at least W*W. A band minimum below
-        W*W therefore beats every outside point, and the answer equals the
-        whole-curve scan's, bit for bit and tie for tie. Otherwise (the
-        nearest point lies W or more columns away, or x is outside [0, s))
-        the same operations run over the whole curve. Raises InputError when
-        no distance is finite: a NaN or infinite coordinate, or one so large
+        On a curve with s <= CELL_TABLE_MAX_S, a query in the square
+        [0, s) x [0, s) scans its cell's candidates in plain floats. The
+        square is cut into cells of W x W, W = round(s / sqrt(N)) for N
+        affine points, the mean point spacing; the query's cell (cx, cy) is
+        (floor(x) // W, floor(y) // W), and its candidates are the points in
+        the columns [(cx-1)W, (cx+2)W) and the rows [(cy-1)W, (cy+2)W), in
+        index order. Since cx*W <= x < (cx+1)*W and the coordinates are
+        integers, every other point lies more than W away in x or in y; so,
+        rounding being monotone and W*W exact, its float distance is at
+        least W*W. A candidate minimum below W*W therefore beats every other
+        point, and the scan, with a strict < from W*W, answers as the
+        whole-curve scan does, bit for bit and tie for tie. Each cell's
+        candidates are collected on the cell's first query.
+
+        Otherwise (a larger curve, a cell with no candidate below W*W, or a
+        query off the square) the column-bucket scan runs in numpy: the
+        points in the columns within B of the query's bucket of B columns,
+        by the same argument with bound B*B, or, when that bound fails or x
+        is outside [0, s), the whole curve. Raises InputError when no
+        distance is finite: a NaN or infinite coordinate, or one so large
         that every squared distance overflows.
         """
+        s = self.s
+        if s <= CELL_TABLE_MAX_S and 0 <= x < s and 0 <= y < s:
+            w, m, best, cells = self._grid or self._cell_grid()
+            c = int(x) // w * m + int(y) // w
+            candidates = cells[c]
+            if candidates is None:
+                candidates = cells[c] = self._cell_candidates(c)
+            k = -1
+            for i, px, py in candidates:
+                d = (px - x) * (px - x) + (py - y) * (py - y)
+                if d < best:
+                    best, k = d, i
+            if k >= 0:
+                return k
         if self._xs is None:
             self._coordinates()
-        if 0 <= x < self.s:
+        if 0 <= x < s:
             xs, ys, lo, bound = self._buckets[int(x) // self._width]
         else:
             xs, ys, lo, bound = self._whole
@@ -325,18 +366,45 @@ class Curve:
                 raise InputError(f"cannot project ({x!r}, {y!r}) onto {self!r}")
             xs, ys, lo, bound = self._whole
 
+    def _cell_grid(self) -> tuple:
+        """nearest_index's cell table (W, cells per side M, float W*W, cells),
+        cell cx*M + cy holding None until _cell_candidates fills it. Made on
+        the first scalar query, with what the cells share: the (index, x, y)
+        float tuple of every point, and the first index of each column of
+        cells."""
+        s, n = self.s, len(self._coordinates()[0])
+        w = max(1, round(s / math.sqrt(n)))
+        m = -(-s // w)
+        fx, fy = self._whole[0].tolist(), self._whole[1].tolist()
+        # starts[j] is the first index in column (j-1)W or later, as edges in
+        # _build_buckets
+        starts = [bisect_left(fx, j * w) for j in range(-1, m + 2)]
+        self._cell_points = (list(zip(range(n), fx, fy)), starts)
+        self._grid = (w, m, float(w * w), [None] * (m * m))
+        return self._grid
+
+    def _cell_candidates(self, c: int) -> tuple:
+        """The candidates of cell c: the (index, x, y) tuples of the points
+        in its block of 3 x 3 cells, in index order."""
+        w, m = self._grid[:2]
+        points, starts = self._cell_points
+        cx, cy = divmod(c, m)
+        lo, hi = (cy - 1) * w, (cy + 2) * w
+        return tuple(p for p in points[starts[cx]:starts[cx + 3]] if lo <= p[2] < hi)
+
     def nearest_indices(self, qx, qy) -> np.ndarray:
         """nearest_index of every query (qx[k], qy[k]), as an integer array.
 
         The queries are grouped by column bucket. Each bucket's band is
         scanned for a block of its queries at once, with argmin along each
         query's row, and an answer stands when its band minimum is below the
-        bucket's bound, as in nearest_index. The queries that fail that test
-        or lie off the square are scanned against the whole curve. The float
-        operations, the tie rule and the fallback are nearest_index's, so
-        each answer is the same bit for bit. A block holds at most about
-        BLOCK_DISTANCES distances. Raises InputError for the first query, in
-        input order, that nearest_index would reject.
+        bucket's bound, by nearest_index's column-bucket rule. The queries
+        that fail that test or lie off the square are scanned against the
+        whole curve. The float operations and the tie rule are those of
+        nearest_index's scans, so each answer is the same bit for bit (the
+        tests hold the two equal, cell table included). A block holds at
+        most about BLOCK_DISTANCES distances. Raises InputError for the first
+        query, in input order, that nearest_index would reject.
         """
         if self._xs is None:
             self._coordinates()

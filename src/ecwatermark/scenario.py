@@ -192,24 +192,23 @@ class AttackSpec:
             raise ConfigError("start must be non-negative", path=f"{path}.start")
         return spec
 
-def apply_attack(y_w, history, spec: AttackSpec, k: int) -> tuple:
-    """Channel value seen by the remover at step k, plus a deferral flag.
+def apply_attack(y_w, history, spec: AttackSpec, k: int):
+    """Channel value seen by the remover at step k.
 
     `history` holds the true transmitted values up to and including step k.
     Before `spec.start` the channel is untouched. A replay whose window
-    reaches before step 0 defers activation (the flag reports it) until
-    enough history exists. `y_w` may also be one step of a lockstep batch,
-    shape (R, 1, 1) with `history` of shape (steps, R, 1, 1).
+    reaches before step 0 leaves it untouched too, until step `spec.window`,
+    the first with enough history; `sim` logs that deferral from the spec.
+    `y_w` may also be one step of a lockstep batch, shape (R, 1, 1) with
+    `history` of shape (steps, R, 1, 1).
     """
     if spec.kind == "none" or k < spec.start:
-        return y_w, False
+        return y_w
     if spec.kind == "bias":
-        return y_w + spec.magnitude, False
+        return y_w + spec.magnitude
     if spec.kind == "replay":
         j = k - spec.window
-        if j < 0:
-            return y_w, True
-        return y_w + (history[j] - y_w), False
+        return y_w if j < 0 else y_w + (history[j] - y_w)
     raise ValueError(f"unknown attack kind {spec.kind!r}")
 
 

@@ -460,7 +460,7 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
             yw_j[...] = y_w[run]
             # the runs are attacked; the calibration rows after them pass unchanged
             y_wt[...] = y_w
-            y_wt[run] = apply_attack(y_w[run], history, attack, k)[0]
+            y_wt[run] = apply_attack(y_w[run], history, attack, k)
             if wm is None:
                 y_q = y_wt
             else:

@@ -124,7 +124,9 @@ def oracle_run(scenario: Scenario, *, horizon: int | None = None,
         # 3. watermark, channel, attack, remover
         y_w = y_p if wm is None else generator.step(y_p)
         y_w_history[k] = y_w
-        y_wt, deferred = apply_attack(y_w, y_w_history, attack, k)
+        y_wt = apply_attack(y_w, y_w_history, attack, k)
+        # a replay whose window reaches before step 0 defers its activation
+        deferred = attack.kind == "replay" and attack.start <= k < attack.window
         if deferred and not replay_deferred_logged:
             log.warning(
                 "replay attack at step %d lacks %d steps of history; activation deferred",

@@ -14,7 +14,8 @@ from ecwatermark import (
     InputError,
     Point,
 )
-from ecwatermark.curve import BLOCK_DISTANCES
+from ecwatermark import curve as curve_module
+from ecwatermark.curve import BLOCK_DISTANCES, CELL_TABLE_MAX_S
 
 from conftest import order_by_factor_stripping, voronoi_cells
 
@@ -368,15 +369,18 @@ def large_curve():
 
 @pytest.fixture(scope="module")
 def oracle_curves(desk_curve, large_curve):
-    return [desk_curve, Curve(2, 3, 307), large_curve]
+    # s = 2039 is the largest prime under CELL_TABLE_MAX_S
+    return [desk_curve, Curve(2, 3, 101), Curve(2, 3, 307), Curve(2, 3, 2039), large_curve]
 
 
 def test_nearest_affine_scan_oracle(oracle_curves):
     for curve in oracle_curves:
         rng = random.Random(curve.s)
-        for _ in range(200 if curve.s < 1000 else 60):
+        for k in range(200 if curve.s < 1000 else 60):
             x, y = rng.uniform(-2, curve.s + 2), rng.uniform(-2, curve.s + 2)
             assert curve.nearest_affine(x, y) == nearest_by_scan(curve, x, y)
+            if k % 4 == 0:
+                assert curve.nearest_affine(x, y) == nearest_by_list_scan(curve, x, y)
 
 
 def test_nearest_affine_scan_oracle_on_voronoi_grid():
@@ -617,3 +621,160 @@ def test_nearest_indices_empty_and_mismatched(desk_curve):
     assert desk_curve.nearest_indices([], []).tolist() == []
     with pytest.raises(ValueError):
         desk_curve.nearest_indices([1.0, 2.0], [1.0])
+
+
+# -- nearest point: the cell table up to CELL_TABLE_MAX_S ------------------------
+
+@pytest.fixture(scope="module")
+def cell_curves(oracle_curves):
+    curves = [curve for curve in oracle_curves if curve.s <= CELL_TABLE_MAX_S]
+    assert CELL_TABLE_MAX_S - 10 < curves[-1].s
+    for curve in curves:
+        curve.nearest_index(0.5, 0.5)  # makes the cell table
+    return curves
+
+
+def _list_scan_distance(curve, x, y):
+    """The smallest float distance, in nearest_by_list_scan's operations."""
+    xs, ys = _coordinates(curve)
+    return min((px - x) * (px - x) + (py - y) * (py - y) for px, py in zip(xs, ys))
+
+
+def _numpy_scans(monkeypatch):
+    """Count the numpy scans that nearest_index makes from here on."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return scan(*args)
+
+    scan = curve_module._squared_distances
+    monkeypatch.setattr(curve_module, "_squared_distances", counted)
+    return calls
+
+
+def _edge_coordinates(curve):
+    """Every multiple k*W of the cell side in [0, s], the floats next to it
+    on either side, and s - ulp."""
+    w = curve._grid[0]
+    out = [math.nextafter(float(curve.s), 0.0)]
+    for e in range(0, curve.s + 1, w):
+        out += [math.nextafter(float(e), -math.inf), float(e), math.nextafter(float(e), math.inf)]
+    return out
+
+
+def test_cell_side_follows_point_spacing(cell_curves):
+    for curve in cell_curves:
+        w, m, bound, cells = curve._grid
+        n = len(curve.affine_points())
+        assert w == round(curve.s / math.sqrt(n)) and m == math.ceil(curve.s / w)
+        assert bound == w * w and len(cells) == m * m
+    assert cell_curves[0]._grid[:2] == (4, 5)
+
+
+def test_cell_scan_on_cell_corners_and_centres(desk_curve):
+    w, m = desk_curve._grid[:2]
+    queries = [(cx * w + dx, cy * w + dy) for cx in range(m + 1) for cy in range(m + 1)
+               for dx, dy in ((0.0, 0.0), (w / 2, w / 2))]
+    for x, y in queries:
+        want = nearest_by_list_scan(desk_curve, x, y)
+        assert desk_curve.nearest_affine(x, y) == want == nearest_by_scan(desk_curve, x, y)
+    assert_batch_matches_scalar(desk_curve, queries)
+
+
+def test_cell_scan_on_cell_edges(cell_curves):
+    # queries at k*W and at the next float on either side, in x and in y; on
+    # the curve at the bound each edge coordinate meets random ones
+    for curve in cell_curves:
+        edges = _edge_coordinates(curve)
+        if curve.s < 1000:
+            queries = [(x, y) for x in edges for y in edges]
+        else:
+            rng = random.Random(curve.s)
+            queries = [q for e in edges
+                       for q in ((e, rng.uniform(0, curve.s)), (rng.uniform(0, curve.s), e))]
+        if len(queries) > 3000:
+            queries = random.Random(curve.s).sample(queries, 3000)
+        for x, y in queries[::7]:
+            assert curve.nearest_affine(x, y) == nearest_by_list_scan(curve, x, y)
+        for x, y in queries:
+            assert curve.nearest_affine(x, y) == nearest_by_scan(curve, x, y)
+        assert_batch_matches_scalar(curve, queries)
+
+
+def test_cell_scan_on_ties_across_cell_edges(cell_curves):
+    # midpoints of two nearby points in different cells, equidistant from both
+    for curve in cell_curves:
+        pts = curve.affine_points()
+        w = curve._grid[0]
+        pairs = [(p, q) for i, p in enumerate(pts) for q in pts[i + 1:i + 8]
+                 if abs(p.y - q.y) <= w and (p.x // w, p.y // w) != (q.x // w, q.y // w)]
+        if len(pairs) > 400:
+            pairs = random.Random(curve.s).sample(pairs, 400)
+        assert len(pairs) >= 10
+        queries = [((p.x + q.x) / 2, (p.y + q.y) / 2) for p, q in pairs]
+        for x, y in queries:
+            want = nearest_by_list_scan(curve, x, y)
+            assert curve.nearest_affine(x, y) == want == nearest_by_scan(curve, x, y)
+        assert_batch_matches_scalar(curve, queries)
+
+
+def test_cell_scan_calls_no_numpy_unless_the_nearest_point_is_w_away(cell_curves, monkeypatch):
+    # A query in the square answers from its cell, with no numpy call,
+    # exactly when its nearest point lies within W; otherwise the column
+    # bucket scan runs. A grid finds the far queries in the curve's gaps.
+    calls = _numpy_scans(monkeypatch)
+    for curve in cell_curves[:3]:
+        w, s = curve._grid[0], curve.s
+        step = s / 67
+        queries = [(i * step, j * step) for i in range(67) for j in range(67)]
+        queries += [(math.nextafter(float(s), 0.0), y) for _, y in queries[:67]]
+        far = 0
+        for x, y in queries:
+            before = len(calls)
+            got = curve.nearest_affine(x, y)
+            assert got == nearest_by_scan(curve, x, y)
+            fell_back = _list_scan_distance(curve, x, y) >= w * w
+            assert (len(calls) > before) == fell_back
+            far += fell_back
+        assert far >= 3
+        assert_batch_matches_scalar(curve, queries)
+
+
+def test_cell_scan_off_the_square_takes_the_band_scan(cell_curves, monkeypatch):
+    calls = _numpy_scans(monkeypatch)
+    for curve in cell_curves:
+        s = curve.s
+        for x, y in [(-0.5, 1.0), (1.0, -1e-9), (float(s), 2.0), (2.0, float(s)),
+                     (s + 0.5, -3.0), (-1e6, 1e6)]:
+            before = len(calls)
+            assert curve.nearest_affine(x, y) == nearest_by_scan(curve, x, y)
+            assert len(calls) > before
+        # -0.0 lies in the square
+        assert curve.nearest_affine(-0.0, -0.0) == nearest_by_scan(curve, -0.0, -0.0)
+
+
+def test_filled_cell_table_at_the_bound_stays_under_one_megabyte():
+    curve = Curve(2, 3, 2039)
+    curve.order()
+    tracemalloc.start()
+    try:
+        curve.nearest_index(0.5, 0.5)
+        w, m, _, cells = curve._grid
+        centres = [min((k + 0.5) * w, curve.s - 0.5) for k in range(m)]
+        for x in centres:
+            for y in centres:
+                curve.nearest_index(x, y)
+        filled = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert None not in cells
+    assert filled <= 2**20
+
+
+def test_curve_above_the_bound_makes_no_cell_table(large_curve):
+    assert large_curve.s > CELL_TABLE_MAX_S
+    rng = random.Random(5)
+    for _ in range(20):
+        large_curve.nearest_index(rng.uniform(0, 9973), rng.uniform(0, 9973))
+    assert large_curve._grid is None and large_curve._cell_points == ()

@@ -248,27 +248,30 @@ def test_misspelt_field_names_its_path(edit, path):
 
 def test_attack_identity_before_start():
     spec = AttackSpec(kind="bias", start=100, magnitude=0.5)
-    value, deferred = apply_attack(1.0, [1.0], spec, 50)
-    assert value == 1.0 and not deferred
+    assert apply_attack(1.0, [1.0], spec, 50) == 1.0
 
 
 def test_bias_attack_adds_constant():
     spec = AttackSpec(kind="bias", start=10, magnitude=0.5)
-    value, _ = apply_attack(1.25, [], spec, 10)
-    assert value == 1.75
+    assert apply_attack(1.25, [], spec, 10) == 1.75
 
 
 def test_replay_attack_resends_old_value():
     spec = AttackSpec(kind="replay", start=5, window=3)
     history = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0]
-    value, deferred = apply_attack(15.0, history, spec, 5)
-    assert value == history[2] and not deferred
+    assert apply_attack(15.0, history, spec, 5) == history[2]
 
 
 def test_replay_defers_without_history():
-    spec = AttackSpec(kind="replay", start=0, window=10)
-    value, deferred = apply_attack(3.0, [3.0], spec, 0)
-    assert value == 3.0 and deferred
+    # from step start on, the replay leaves the channel unchanged exactly at
+    # the steps the deferral rule reads from the spec (start <= k < window),
+    # and resends the value of step k - window from then on
+    spec = AttackSpec(kind="replay", start=1, window=3)
+    history = [3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+    seen = [apply_attack(history[k], history, spec, k) for k in range(len(history))]
+    assert seen == [3.0, 4.0, 5.0, 3.0, 4.0, 5.0]
+    passed = [k for k in range(spec.start, len(history)) if seen[k] == history[k]]
+    assert passed == [k for k in range(len(history)) if spec.start <= k < spec.window] == [1, 2]
 
 
 def test_replay_deferral_logged(caplog):
