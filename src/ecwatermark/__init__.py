@@ -39,7 +39,6 @@ from .switching import (
     eta1,
     eta2,
     sigma,
-    sigma_block,
     sigma_detail,
     validate_theta,
 )

@@ -6,8 +6,8 @@ controller. Within one sample the order is fixed and documented:
 
 1. pending parameter switches apply (between samples, driven by the
    previous sample's signals: the generator keys on its last plant output,
-   the remover on its last reconstructed output); the distinct keys of a
-   step are derived in one block (`sigma_block`);
+   the remover on its last reconstructed output); each distinct key of a
+   step goes through `sigma` once, generator keys by row, then remover keys;
 2. plant output with measurement noise;
 3. generator modulates; the attacker may rewrite a run's channel value
    (never a calibration run's); remover demodulates;
@@ -54,7 +54,7 @@ import numpy as np
 from .errors import DivergenceError, EcwmError, InputError
 from .scenario import (AttackSpec, ControllerModel, DetectorModel, NoiseSpec, PlantModel,
                        Scenario, ThresholdSpec, WatermarkSetup, apply_attack)
-from .switching import admissible_taps, sigma_block
+from .switching import admissible_taps, sigma
 from .watermark import fir_step
 
 log = logging.getLogger(__name__)
@@ -430,13 +430,12 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
         for j, (y_p, y_wt, yq_j, u, v_j, w_j, yw_j) in enumerate(steps):
             k = start + j
 
-            # 1. apply pending switches (between samples); each distinct key is
-            # derived once, in one block, and sigma checked its taps when it stored them
+            # 1. apply pending switches (between samples); each distinct key goes
+            # through sigma once, which checked its taps when it stored them
             if pend_w or pend_q:
-                keys = list(dict.fromkeys([*pend_w.values(), *pend_q.values()]))
                 try:
-                    derived = {key: theta.taps
-                               for key, theta in zip(keys, sigma_block(np.array(keys), wm.config))}
+                    derived = {key: sigma(key, wm.config).taps
+                               for key in dict.fromkeys([*pend_w.values(), *pend_q.values()])}
                 except EcwmError as exc:
                     # raised below, unless the detector diverged at an earlier step
                     failure, failed, before, done = exc, j, True, j

@@ -47,7 +47,6 @@ __all__ = [
     "eta2",
     "validate_theta",
     "sigma",
-    "sigma_block",
     "sigma_detail",
 ]
 
@@ -459,17 +458,3 @@ def sigma(y_prev: float, cfg: SwitchingConfig) -> FirParams:
     theta = cfg.tap_table[i]
     return _tap_row(i, cfg) if theta is None else theta
 
-
-def sigma_block(ys: np.ndarray, cfg: SwitchingConfig) -> list[FirParams]:
-    """`[sigma(y, cfg) for y in ys]` for a 1-D float64 array of samples: one
-    `alpha1` block, one `nearest_indices` call, then the tap table in input
-    order. A sample that fails raises the error of the first failing sample
-    in input order, and the table ends as the per-sample calls leave it."""
-    try:
-        xs, qy = alpha1(ys, cfg.alpha_x, cfg.alpha_y, cfg.curve.s)
-        points = cfg.curve.nearest_indices(xs, qy).tolist()
-    except InputError:
-        # a sample before the one that failed here may fail in a later stage,
-        # and its error comes first: the per-sample calls raise in input order
-        return [sigma(y, cfg) for y in ys.tolist()]
-    return [_tap_row(i, cfg) for i in points]

@@ -29,6 +29,7 @@ from ecwatermark import (
     run_batch,
     run_scenario,
     shipped,
+    sigma,
 )
 from ecwatermark import sim
 from ecwatermark.sim import _noise_block
@@ -902,6 +903,49 @@ def test_horizon_override_needs_a_threshold():
     assert len(run_scenario(scenario, horizon=300)) == 300
     fixed = _scenario("nominal", 300, detector__threshold={"mode": "fixed", "value": 0.2})
     assert len(run_scenario(fixed, horizon=200)) == 200
+
+
+def _switch_key_scenario(low, high):
+    """Every row's plant output is its measurement noise, uniform on [low,
+    high); a bias of 1e300 from step 0 makes every remover key 1e300, which
+    fails in the scaling, and the detector state ignores it. The first switch
+    applies at step 3, keyed on step 2's signals. With these feature rows a
+    generator key in [2, 10) may fail in the feature map (see
+    test_switching's test_failed_derivation_is_not_cached); one below 0.8
+    never does."""
+    d = small_scenario_dict(horizon=4)
+    d["plant"].update(A=[[0.0]], measurement_noise={"kind": "uniform", "low": [low],
+                                                    "high": [high]})
+    d["detector"]["K"] = [[0.0]]
+    config = json.loads(shipped.data_text("demo_config.json"))
+    config["eta1"][0] = [0.0, 1.2e307, 0.0]
+    d["watermark"] = {"enabled": True, "config": config, "theta0": [1.0, 0.0, 0.0],
+                      "protocol": {"trigger": "periodic", "period": 2}}
+    d["attack"] = {"kind": "bias", "start": 0, "magnitude": 1e300}
+    return Scenario.from_dict(d)
+
+
+@pytest.mark.parametrize("low,high,seeds,message", [
+    (2.0, 10.0, list(range(8)), "feature map"),
+    (2.0, 10.0, list(range(7, -1, -1)), "feature map"),
+    (0.0, 0.8, list(range(8)), "scaling"),
+], ids=["feature-map", "feature-map-reversed", "scaling"])
+def test_run_batch_raises_the_first_failing_switch_key_error(low, high, seeds, message):
+    scenario = _switch_key_scenario(low, high)
+    cfg = scenario.watermark.config
+    twin = dataclasses.replace(cfg)  # equal, with a tap table of its own
+    # the step's keys: the generator's by row, then the remover's
+    traces = run_batch(scenario, seeds, horizon=3, threshold=1.0)
+    keys = [t.y_p[2] for t in traces] + [t.y_q[2] for t in traces]
+    with pytest.raises(InputError) as per_key:
+        for key in keys:
+            sigma(float(key), twin)
+    with pytest.raises(InputError) as batch:
+        run_batch(scenario, seeds, threshold=1.0)
+    assert message in str(batch.value)
+    assert str(batch.value) == str(per_key.value)
+    assert ([None if theta is None else theta.taps for theta in cfg.tap_table]
+            == [None if theta is None else theta.taps for theta in twin.tap_table])
 
 
 def test_non_finite_watermark_input_matches_oracle():

@@ -27,7 +27,6 @@ from ecwatermark import (
     eta1,
     eta2,
     sigma,
-    sigma_block,
     sigma_detail,
     shipped,
     validate_theta,
@@ -387,25 +386,79 @@ def test_tap_table_rows_equal_staged_derivation(demo_cfg, curve, l, sample):
         assert at_i.tap_table[i] is theta
 
 
+# the demo config on its own curve, on (2, 3, 307), and on (2, 3, 9973) with
+# the secret scalar 7919, as the large switching benchmark loads it
+_SHIPPED_CONFIGS = {"s17": ((2, 2, 17), 7), "s307": ((2, 3, 307), 7),
+                    "s9973": ((2, 3, 9973), 7919)}
+
+
+def _shipped_config(demo_cfg, name):
+    curve, l = _SHIPPED_CONFIGS[name]
+    return SwitchingConfig.from_dict(dict(demo_cfg.to_dict(), curve=dict(zip("abs", curve)), l=l))
+
+
 # (rows, SHA-256 of their float64 bytes) of the demo config's whole tap
 # image: every tap_table row, in point order, on its own curve and on
 # (2, 3, 307). eta1 runs CPython's own math.hypot, not the host's libm, so a
 # Python release that rounds it differently changes these digests, also on
 # rows that no golden run reaches.
 _TAP_IMAGES = {
-    (2, 2, 17): (18, "6d627eaa176b163258fe1bb814009d473c68ae3ba58393e24843645382d745fb"),
-    (2, 3, 307): (309, "2f1a9ac4a59121d40fd5b30815c12f24c3465ada79ac166353c4458d0bebcc30"),
+    "s17": (18, "6d627eaa176b163258fe1bb814009d473c68ae3ba58393e24843645382d745fb"),
+    "s307": (309, "2f1a9ac4a59121d40fd5b30815c12f24c3465ada79ac166353c4458d0bebcc30"),
 }
 
 
-@pytest.mark.parametrize("curve", list(_TAP_IMAGES), ids=["s17", "s307"])
-def test_shipped_tap_image_is_pinned(demo_cfg, curve):
-    data = demo_cfg.to_dict()
-    data["curve"] = dict(zip("abs", curve))
-    cfg = SwitchingConfig.from_dict(data)
+@pytest.mark.parametrize("name", list(_TAP_IMAGES))
+def test_shipped_tap_image_is_pinned(demo_cfg, name):
+    cfg = _shipped_config(demo_cfg, name)
     rows = np.array([_tap_row(i, cfg).taps for i in range(len(cfg.tap_table))])
     assert rows.dtype == np.float64
-    assert (len(rows), hashlib.sha256(rows.tobytes()).hexdigest()) == _TAP_IMAGES[curve]
+    assert (len(rows), hashlib.sha256(rows.tobytes()).hexdigest()) == _TAP_IMAGES[name]
+
+
+@pytest.mark.parametrize("name", list(_SHIPPED_CONFIGS))
+def test_shipped_tap_image_is_stable(demo_cfg, name):
+    # the paper's stability claim on every tap vector the config can switch
+    # to: the remover passes the tap-domain test and its poles lie inside the
+    # unit circle
+    cfg = _shipped_config(demo_cfg, name)
+    reports = [check_stability(_tap_row(i, cfg)) for i in range(len(cfg.tap_table))]
+    assert all(report.gershgorin_pass for report in reports)
+    assert max(report.spectral_radius for report in reports) < 1.0
+
+
+def test_projection_survives_other_atan_roundings(demo_cfg, monkeypatch):
+    # alpha1 calls the host's libm atan, which need not round correctly: a
+    # host whose atan is one ulp off, either way, or correctly rounded still
+    # projects every sample onto the same point (nearest_indices answers as
+    # nearest_index does, and sigma keys its taps on that point)
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2_000_003)
+    ys = np.concatenate([10.0 + rng.uniform(-0.05, 0.05, 10_000),
+                         rng.normal(0.0, 30.0, 10_000)])
+    configs = [_shipped_config(demo_cfg, name) for name in _SHIPPED_CONFIGS]
+    # every config scales with the demo coefficients: these are alpha1's atan inputs
+    inputs = {u for coeffs in (demo_cfg.alpha_x, demo_cfg.alpha_y)
+              for u in (coeffs[1] * ys).tolist()}
+    # mpmath calls math.atan itself, so its table is built before any patch
+    correct = {}
+    for u in inputs:
+        with mpmath.workprec(200):
+            exact = mpmath.atan(u)
+        with mpmath.workprec(53):
+            correct[u] = float(+exact)  # rounded to nearest
+    atan = math.atan
+
+    def indices():
+        return [cfg.curve.nearest_indices(*alpha1(ys, cfg.alpha_x, cfg.alpha_y, cfg.curve.s))
+                for cfg in configs]
+
+    expected = indices()
+    for patched in (lambda u: math.nextafter(atan(u), math.inf),
+                    lambda u: math.nextafter(atan(u), -math.inf), correct.__getitem__):
+        monkeypatch.setattr(math, "atan", patched)
+        for got, want in zip(indices(), expected, strict=True):
+            assert np.array_equal(got, want)
 
 
 def test_sigma_equals_staged_sigma_on_miss_and_hit():
@@ -481,30 +534,8 @@ def test_inadmissible_derivation_raises_and_stores_nothing():
     assert cfg.tap_table.count(None) == len(cfg.tap_table)
 
 
-def _table_taps(cfg):
-    return [None if theta is None else theta.taps for theta in cfg.tap_table]
-
-
-def test_sigma_block_equals_per_sample_sigma():
-    rng = np.random.default_rng(7_000_002)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConfigurationWarning)
-        for _ in range(8):
-            cfg = random_switching_config(rng)
-            twin = dataclasses.replace(cfg)  # equal, with a table of its own
-            ys = np.concatenate([rng.uniform(-100, 100, 60), rng.uniform(-1e4, 1e4, 60),
-                                 [0.0, -0.0, 3.5, 3.5]])
-            block = sigma_block(ys, cfg)
-            assert [theta.taps for theta in block] == [sigma(y, twin).taps for y in ys.tolist()]
-            assert _table_taps(cfg) == _table_taps(twin)
-            # a second block only hits, and returns the stored objects
-            assert all(a is b for a, b in zip(sigma_block(ys, cfg), block, strict=True))
-
-
-# y = 5 fails in the feature map (see test_failed_derivation_is_not_cached),
-# 1e300 in the scaling, nan before it; y = 1 derives
 def test_switching_builds_no_point_list(monkeypatch):
-    # loading a config and sigma, one sample or a block, read the curve's
+    # loading a config, sigma and a block projection read the curve's
     # coordinate arrays: no list of Point objects is built
     calls = []
     original = Curve.affine_points
@@ -515,27 +546,13 @@ def test_switching_builds_no_point_list(monkeypatch):
     ys = np.random.default_rng(9973).uniform(-1e4, 1e4, 8)
     for y in ys.tolist():
         sigma(y, cfg)
-    sigma_block(ys + 0.5, cfg)
+    cfg.curve.nearest_indices(*alpha1(ys + 0.5, cfg.alpha_x, cfg.alpha_y, cfg.curve.s))
     assert calls == []
     curve = cfg.curve
     for y in ys.tolist():
         x_s, y_s = alpha1(y, cfg.alpha_x, cfg.alpha_y, curve.s)
         i = curve.nearest_index(x_s, y_s)
         assert curve.nearest_affine(x_s, y_s) == curve.affine_points()[i]
-
-
-@pytest.mark.parametrize("ys", [[1.0, 5.0, math.nan], [1.0, math.nan, 5.0], [5.0, 1e300],
-                                [1.0, 1e300, 5.0, 2.0], [1.0, 5.0]])
-def test_sigma_block_raises_the_first_failing_sample_error(ys):
-    rows = ((0.0, 1.2e307, 0.0), (0.0, 0.0, 0.05), (1.0, -0.15, 0.012))
-    cfg, twin = make_config(eta1_rows=rows), make_config(eta1_rows=rows)
-    with pytest.raises(InputError) as per_sample:
-        for y in ys:
-            sigma(y, twin)
-    with pytest.raises(InputError) as block:
-        sigma_block(np.array(ys), cfg)
-    assert str(block.value) == str(per_sample.value)
-    assert _table_taps(cfg) == _table_taps(twin)
 
 
 @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
