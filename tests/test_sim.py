@@ -929,7 +929,10 @@ def _switch_key_scenario(low, high):
     (2.0, 10.0, list(range(8)), "feature map"),
     (2.0, 10.0, list(range(7, -1, -1)), "feature map"),
     (0.0, 0.8, list(range(8)), "scaling"),
-], ids=["feature-map", "feature-map-reversed", "scaling"])
+    (0.0, 10.0, list(range(8)), "feature map"),
+    (2.0, 10.0, [0, 5], "feature map"),
+], ids=["feature-map", "feature-map-reversed", "scaling", "derived-keys-first",
+        "one-derived-key-first"])
 def test_run_batch_raises_the_first_failing_switch_key_error(low, high, seeds, message):
     scenario = _switch_key_scenario(low, high)
     cfg = scenario.watermark.config
