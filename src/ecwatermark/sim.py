@@ -22,11 +22,14 @@ controller. Within one sample the order is fixed and documented:
 The detector is an observer: nothing in the loop reads its state or
 residual. So the per-step loop steps only the feedback path (items 1-3, the
 controller and the plant and controller states, and 6), writing each step's
-signals into buffers for a block of steps, and the detector then runs over
-the block in one pass (`_observe`): the same products in the same order, so
-every residual and state is the per-step one bit for bit. Its divergence
-guard is merged with the loop's, so a batch reports the step, row and block
-that a per-step guard would have (see `run_batch`).
+signals and states into buffers for a block of steps, and the detector then
+runs over the block in one pass (`_observe`): the same products in the same
+order, so every residual and state is the per-step one bit for bit. The
+divergence guard then scans the block's plant, controller and detector
+states once and reports the step, row and block a per-step guard would
+have (see `run_batch`). Past a divergence the loop steps on to the block's
+end, so a later switch there may fill `tap_table` rows that a per-step
+guard would not; no output reads them.
 
 Runs step in lockstep: `run_batch` advances R runs, one per seed, together
 on states stacked as (R, n, 1) arrays, and a single run is a batch of one.
@@ -60,7 +63,6 @@ from .watermark import fir_step
 log = logging.getLogger(__name__)
 
 STATE_OVERFLOW = 1e12
-STATE_OVERFLOW_SQ = STATE_OVERFLOW**2
 
 # Values a lockstep batch holds at once besides its trace columns (2 MB),
 # whatever the horizon, the number of runs or the orders of plant, controller
@@ -279,10 +281,10 @@ def run_batch(scenario: Scenario, seeds, *, horizon: int | None = None,
 _COLUMNS = ("y_p", "y_w", "y_w_tilde", "y_q", "u", "y_r")
 
 
-def _check_step(k: int, signals, states: dict) -> tuple[EcwmError, bool] | None:
-    """The error behind a failed pre-test at step k, and whether it comes
-    before the attack in the step's order; None when no row fails.
-    `signals` are the watermark inputs (y_p, y_w_tilde), or none, and
+def _check_step(k: int, signals, states: dict) -> tuple[EcwmError, bool]:
+    """The error behind step k, at which some row's state leaves the
+    divergence guard, and whether it comes before the attack in the step's
+    order. `signals` are the watermark inputs (y_p, y_w_tilde), or none, and
     `states` maps block names to (R, n, 1) states, in plant, controller,
     detector order. For the lowest row index that fails, the error is
     InputError for a non-finite watermark input (as WatermarkUnit.step
@@ -291,10 +293,7 @@ def _check_step(k: int, signals, states: dict) -> tuple[EcwmError, bool] | None:
     peaks = {name: np.abs(x).max(axis=(1, 2)) for name, x in states.items()}
     failing = [~np.isfinite(s).ravel() for s in signals]
     failing += [~(p <= STATE_OVERFLOW) for p in peaks.values()]
-    runs = np.flatnonzero(np.any(failing, axis=0))
-    if not runs.size:
-        return None
-    i = runs[0]
+    i = np.flatnonzero(np.any(failing, axis=0))[0]
     for m, signal in enumerate(signals):
         value = float(signal[i, 0, 0])
         if not math.isfinite(value):
@@ -316,10 +315,10 @@ def _block_rows(n_rows: int, noise_width: int, signal_width: int) -> tuple[int, 
     return steps, noise - noise % steps
 
 
-def _observe(det: DetectorModel, x_r, u, y_q, y_r, scratch) -> np.ndarray:
+def _observe(det: DetectorModel, x_r, u, y_q, y_r, scratch) -> None:
     """Run the detector over a block of n steps, given the block's inputs u
-    (n, R, n_u, 1) and y_q (n, R, 1, 1); returns each step's peak |state|
-    per row, (n, R).
+    (n, R, n_u, 1) and y_q (n, R, 1, 1); the divergence guard then reads
+    its states from x_r.
 
     x_r (n + 1, R, n_r, 1) holds the state at the block's start in x_r[0]
     and receives the state after step j in x_r[j + 1]; y_r (n, R, 1, 1)
@@ -341,7 +340,6 @@ def _observe(det: DetectorModel, x_r, u, y_q, y_r, scratch) -> np.ndarray:
     matmul(det.C, x_r[:-1].reshape(-1, n_r, 1), out=y_r.reshape(-1, 1, 1))
     l_y = scratch.reshape(-1)[:y_q.size].reshape(y_q.shape)
     y_r += np.multiply(float(det.L[0, 0]), y_q, out=l_y)
-    return np.abs(x_r[1:], out=scratch).max(axis=(2, 3))
 
 
 # a state that overflows is reported by the divergence guard, not by numpy
@@ -357,12 +355,13 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
     trigger times; then the calibrated threshold, or None.
 
     The steps go in blocks. Within a block the loop steps only the feedback
-    path (plant output, generator, attack, remover, controller and plant
-    state) and writes its signals into block buffers; the detector, which
-    feeds nothing back, then runs over the whole block (`_observe`), and
-    the block's rows go to the columns. Besides the columns and the
-    calibration residual, the loop holds about NOISE_BLOCK_VALUES values:
-    the block's noise and its buffers.
+    path (plant output, generator, attack, remover, controller and its
+    states) and writes its signals and states into block buffers; the
+    detector, which feeds nothing back, then runs over the whole block
+    (`_observe`), the divergence guard scans the block's states, and the
+    block's rows go to the columns. Besides the columns and the calibration
+    residual, the loop holds about NOISE_BLOCK_VALUES values: the block's
+    noise and its buffers.
     """
     plant, ctrl, det = scenario.plant, scenario.controller, scenario.detector
     wm, attack, spec = scenario.watermark, scenario.attack, det.threshold
@@ -373,21 +372,24 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
     run = slice(0, n_runs)
     matmul = np.matmul
 
-    # states stacked as (R, n, 1): see the module docstring for why
-    x_p, x_c = (np.tile(x0[:, None], (n_rows, 1, 1)) for x0 in (plant.x0, ctrl.x0))
     c_p = plant.C
-    n_u, n_r = plant.B.shape[1], det.A.shape[0]
-    width = 1 + plant.A.shape[0]
+    n_u, n_x, n_c, n_r = plant.B.shape[1], plant.A.shape[0], ctrl.A.shape[0], det.A.shape[0]
+    width = 1 + n_x
     # per row and step the signal buffers hold y_p, y_w_tilde, y_q, y_r, u,
-    # the detector state and K y_q
-    block_rows, noise_rows = _block_rows(n_rows, width, 4 + n_u + 2 * n_r)
+    # the plant, controller and detector states and K y_q
+    block_rows, noise_rows = _block_rows(n_rows, width, 4 + n_u + n_x + n_c + 2 * n_r)
     rngs = [np.random.default_rng(seed) for seed in all_seeds]
     block = np.empty((min(noise_rows, horizon), n_rows, width))
     size = min(block_rows, horizon)
     yp_blk, ywt_blk, yq_blk, yr_blk = (np.empty((size, n_rows, 1, 1)) for _ in range(4))
     u_blk = np.empty((size, n_rows, n_u, 1))
-    xr_blk, scratch = np.empty((size + 1, n_rows, n_r, 1)), np.empty((size, n_rows, n_r, 1))
-    xr_blk[0] = det.x0[:, None]
+    # states stacked as (R, n, 1) (see the module docstring for why): slot 0
+    # of a block's buffer holds the state at its start, slot j + 1 the state
+    # after its step j
+    states = {name: np.tile(x0[:, None], (size + 1, n_rows, 1, 1))
+              for name, x0 in (("plant", plant.x0), ("controller", ctrl.x0), ("detector", det.x0))}
+    xp_blk, xc_blk, xr_blk = states.values()
+    scratch = np.empty((size, n_rows, n_r, 1))
 
     cols = {name: np.zeros((horizon, n_runs, 1, 1)) for name in _COLUMNS}
     residual = np.zeros((horizon, n_rows - n_runs, 1, 1))
@@ -421,13 +423,13 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
         rows = min(block_rows, horizon - start)
         at = start % noise_rows
         v, w = block[at:at + rows, :, :1, None], block[at:at + rows, :, 1:, None]
-        # the loop's error, the index of the step it comes from, whether it
-        # comes before that step's attack, and the number of steps whose
-        # detector inputs the buffers hold
+        # the block's error, the index of the step it comes from, whether it
+        # comes before that step's attack, and the number of steps stepped
         failure, failed, before, done = None, -1, False, rows
 
-        steps = zip(yp_blk, ywt_blk, yq_blk, u_blk, v, w, history[start:start + rows])
-        for j, (y_p, y_wt, yq_j, u, v_j, w_j, yw_j) in enumerate(steps):
+        steps = zip(yp_blk, ywt_blk, yq_blk, u_blk, v, w, history[start:start + rows],
+                    zip(xp_blk, xp_blk[1:], xc_blk, xc_blk[1:]))
+        for j, (y_p, y_wt, yq_j, u, v_j, w_j, yw_j, (x_p, xp_1, x_c, xc_1)) in enumerate(steps):
             k = start + j
 
             # 1. apply pending switches (between samples); each distinct key goes
@@ -437,7 +439,7 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
                     derived = {key: sigma(key, wm.config).taps
                                for key in dict.fromkeys([*pend_w.values(), *pend_q.values()])}
                 except EcwmError as exc:
-                    # raised below, unless the detector diverged at an earlier step
+                    # raised below, unless a state left the guard at an earlier step
                     failure, failed, before, done = exc, j, True, j
                     break
                 for pend, table in ((pend_w, table_w), (pend_q, table_q)):
@@ -469,22 +471,15 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
 
             # 4. the detector runs over the whole block below
 
-            # 5. controller output and state updates
+            # 5. controller output and state updates, (A x_p + B u) + w_j and
+            # A x_c + B y_q as the per-step sums round
             matmul(ctrl.C, x_c, out=u)
             u += ctrl.D * y_q
-            x_p = matmul(plant.A, x_p) + matmul(plant.B, u) + w_j
-            x_c = matmul(ctrl.A, x_c) + ctrl.B * y_q
-            # exact pre-test: the batch's sum of squares stays within the squared
-            # bound only if every entry is finite and within STATE_OVERFLOW. Past
-            # it, each block's peak tells whether any run fails before the guard
-            # looks for the run: many runs within the bound can sum past it.
-            if not (np.vdot(x_p, x_p) + np.vdot(x_c, x_c) <= STATE_OVERFLOW_SQ
-                    or all(np.abs(x).max() <= STATE_OVERFLOW for x in (x_p, x_c))):
-                found = _check_step(k, () if wm is None else (y_p, y_wt),
-                                    {"plant": x_p, "controller": x_c})
-                if found is not None:
-                    (failure, before), failed, done = found, j, j + 1
-                    break
+            matmul(plant.A, x_p, out=xp_1)
+            xp_1 += matmul(plant.B, u)
+            xp_1 += w_j
+            matmul(ctrl.A, x_c, out=xc_1)
+            xc_1 += ctrl.B * y_q
 
             # 6. triggers for the next step, keyed on this sample's signals
             if triggered:
@@ -496,21 +491,19 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
                             times[i].append(k)
                             pend[i] = values[i]
 
-        # 4. the detector over the steps stepped, then its divergence guard: a
-        # detector failure before the loop's failing step (or at it, merged
-        # with the loop's states) is what a per-step guard would have raised
-        peaks = _observe(det, xr_blk[:done + 1], u_blk[:done], yq_blk[:done], yr_blk[:done],
-                         scratch[:done])
-        bad = ~(peaks <= STATE_OVERFLOW)
+        # 4. the detector over the steps stepped, then the divergence guard:
+        # the first of those steps at which any row's state leaves it is where
+        # a per-step guard would have stopped, before any later switch error
+        _observe(det, xr_blk[:done + 1], u_blk[:done], yq_blk[:done], yr_blk[:done],
+                 scratch[:done])
+        bad = np.zeros(done, dtype=bool)
+        for x in states.values():
+            bad |= ~(np.abs(x[1:done + 1]).max(axis=(1, 2, 3)) <= STATE_OVERFLOW)
         if bad.any():
-            j = int(bad.any(axis=1).argmax())
-            states = {"detector": xr_blk[j + 1]}
-            if j == failed:
-                states = {"plant": x_p, "controller": x_c, **states}
-            signals = () if wm is None else (yp_blk[j], ywt_blk[j])
-            found = _check_step(start + j, signals, states)
-            if found is not None:
-                (failure, before), failed = found, j
+            failed = int(bad.argmax())
+            signals = () if wm is None else (yp_blk[failed], ywt_blk[failed])
+            failure, before = _check_step(start + failed, signals,
+                                          {name: x[failed + 1] for name, x in states.items()})
         # the deferral warning at step j, if a run stepped on its own reaches
         # that step's attack: no failure, a later one, or one at step j after
         # the attack
@@ -527,7 +520,8 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
             cols[name][out] = buf[:rows, run]
         cols["u"][out] = u_blk[:rows, run, :1]
         residual[out] = yr_blk[:rows, n_runs:]
-        xr_blk[0] = xr_blk[rows]
+        for x in states.values():
+            x[0] = x[rows]
         if wm is not None:
             # the generator register holds views of y_p rows the next block overwrites
             reg_w = tuple(r.copy() for r in reg_w)

@@ -15,7 +15,6 @@ import numpy as np
 from ecwatermark.errors import DivergenceError
 from ecwatermark.sim import (
     STATE_OVERFLOW,
-    STATE_OVERFLOW_SQ,
     AttackSpec,
     Scenario,
     SimTrace,
@@ -26,6 +25,9 @@ from ecwatermark.switching import sigma
 from ecwatermark.watermark import make_pair
 
 log = logging.getLogger("ecwatermark.sim")
+
+# the per-step pre-test's bound on the sum of squares of all three states
+STATE_OVERFLOW_SQ = STATE_OVERFLOW**2
 
 
 class SwitchProtocol:

@@ -486,14 +486,26 @@ def _held_scenario(plant_A, plant_x0, ctrl_x0=0.0, det_x0=0.0):
                     horizon=6, seed=0)
 
 
+def _watermarked(scenario, c_p, b0, protocol=None):
+    """`scenario` with plant output gain c_p and the starting taps (b0, 0, 0),
+    kept for the whole run unless `protocol` switches them."""
+    d = small_scenario_dict()
+    d["watermark"] = {"enabled": True, "config": json.loads(shipped.data_text("demo_config.json")),
+                      "protocol": protocol or {"trigger": "none"}, "theta0": [b0, 0.0, 0.0]}
+    return dataclasses.replace(scenario, watermark=Scenario.from_dict(d).watermark,
+                               plant=dataclasses.replace(scenario.plant, C=np.array([[c_p]])))
+
+
 @pytest.mark.parametrize("plant_A,plant_x0", [
     (np.eye(2), [0.9e12, 0.9e12]),  # sum of squares above 1e24, no entry above 1e12
     ([[1.0]], [1e12]),  # at the bound, which is allowed
     ([[1.0]], [-1e12]),
+    ([[1.0]], [3e11]),  # well inside the guard, but 20 runs' squares sum past 1e24
 ])
 def test_divergence_pretest_passes_bounded_states(plant_A, plant_x0):
-    trace = run_scenario(_held_scenario(plant_A, plant_x0))
-    assert len(trace) == 6
+    # a batch of 20 runs, each of which the guard passes
+    traces = run_batch(_held_scenario(plant_A, plant_x0), range(20))
+    assert [len(trace) for trace in traces] == [6] * 20
 
 
 @pytest.mark.parametrize("scenario,block,step,peak", [
@@ -509,24 +521,23 @@ def test_divergence_pretest_passes_bounded_states(plant_A, plant_x0):
     (_held_scenario([[1.0]], [0.0], det_x0=-2e12), "detector", 0, 2e12),
     (_held_scenario(np.eye(2), [0.9e12, 0.9e12], ctrl_x0=2e12, det_x0=3e12),
      "controller", 0, 2e12),
+    # the plant state reaches 1e13 at step 2, and the switch at step 3, keyed
+    # on step 2's y_p = 1e103, fails to scale it: a batch steps on past the
+    # divergence to that switch in the same block, and still reports the
+    # divergence
+    (_watermarked(_held_scenario([[10.0]], [1e10]), 1e91, 1.0,
+                  {"trigger": "periodic", "period": 2}), "plant", 2, 1e13),
 ])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_pretest_falls_through_to_block_checks(scenario, block, step, peak):
-    # the first offending block in plant, controller, detector order is named
-    with pytest.raises(DivergenceError) as err:
-        run_scenario(scenario)
-    assert (err.value.block, err.value.step) == (block, step)
-    assert err.value.magnitude == peak or (math.isnan(peak) and math.isnan(err.value.magnitude))
-
-
-def _watermarked(scenario, c_p, b0, protocol=None):
-    """`scenario` with plant output gain c_p and the starting taps (b0, 0, 0),
-    kept for the whole run unless `protocol` switches them."""
-    d = small_scenario_dict()
-    d["watermark"] = {"enabled": True, "config": json.loads(shipped.data_text("demo_config.json")),
-                      "protocol": protocol or {"trigger": "none"}, "theta0": [b0, 0.0, 0.0]}
-    return dataclasses.replace(scenario, watermark=Scenario.from_dict(d).watermark,
-                               plant=dataclasses.replace(scenario.plant, C=np.array([[c_p]])))
+    # the first offending block in plant, controller, detector order is
+    # named, by a run, by a batch of three and by a run stepped on its own
+    for run in (run_scenario, lambda sc: run_batch(sc, [0, 1, 2]), oracle_run):
+        with pytest.raises(DivergenceError) as err:
+            run(scenario)
+        assert (err.value.block, err.value.step) == (block, step)
+        magnitude = err.value.magnitude
+        assert magnitude == peak or (math.isnan(peak) and math.isnan(magnitude))
 
 
 @pytest.mark.parametrize("scenario, start", [
@@ -561,16 +572,6 @@ def test_replay_deferral_logged_as_per_step_run(scenario, start, caplog):
                 error = (type(exc), str(exc))
         outcomes.append((error, [rec.getMessage() for rec in caplog.records]))
     assert outcomes[0] == outcomes[1]
-
-
-def test_divergence_pretest_spares_the_guard_for_bounded_runs(monkeypatch):
-    # 20 runs each well inside the guard, whose squares sum past the bound
-    guarded = []
-    monkeypatch.setattr(sim, "_check_step", lambda k, *_: guarded.append(k))
-    traces = run_batch(_held_scenario([[1.0]], [3e11]), range(20))
-    assert len(traces) == 20 and guarded == []
-    run_batch(_held_scenario([[1.0]], [1.0000001e12]), range(20))
-    assert guarded == list(range(6))
 
 
 # -- noise block ----------------------------------------------------------------------
@@ -626,16 +627,16 @@ def test_noise_block_rows_follow_the_value_budget(monkeypatch):
         return _noise_block(rng, plant, rows)
 
     monkeypatch.setattr(sim, "_noise_block", spy)
-    # 100 runs of a 200-state plant with 7 signal values per step: signal
-    # blocks of 11 steps take their share of the budget, and the noise of 12
-    # steps fits the rest, cut to whole signal blocks: 11 steps, not 1024; a
-    # 12-step run then draws one more step per run
-    run_batch(dataclasses.replace(_held_scenario(np.eye(200) * 0.5, np.zeros(200)), horizon=12),
+    # 100 runs of a 32-state plant with 40 signal values per step (the plant
+    # state among them): signal blocks of 2 steps take their share of the
+    # budget, and the noise of 77 steps fits the rest, cut to whole signal
+    # blocks: 76 steps, not 1024; a 77-step run then draws one more step per run
+    run_batch(dataclasses.replace(_held_scenario(np.eye(32) * 0.5, np.zeros(32)), horizon=77),
               range(100))
-    signal_rows = sim.NOISE_BLOCK_VALUES // (sim.STEP_BLOCK_SHARE * 100 * 7)
-    noise_rows = (sim.NOISE_BLOCK_VALUES - signal_rows * 100 * 7) // (100 * 201)
-    assert (signal_rows, noise_rows) == (11, 12)
-    assert sizes == [11] * 100 + [1] * 100
+    signal_rows = sim.NOISE_BLOCK_VALUES // (sim.STEP_BLOCK_SHARE * 100 * 40)
+    noise_rows = (sim.NOISE_BLOCK_VALUES - signal_rows * 100 * 40) // (100 * 33)
+    assert (signal_rows, noise_rows) == (2, 77)
+    assert sizes == [76] * 100 + [1] * 100
 
 
 # -- lockstep batch ------------------------------------------------------------------
@@ -794,15 +795,18 @@ def test_one_batch_equals_two_pass(case, caplog):
 # -- block boundaries ----------------------------------------------------------------
 
 # signal blocks of one step (noise blocks too), of 3 steps (noise blocks of
-# 279) and of 300 steps: the shipped cases above run in a single block
+# 372 on the shipped plant) and of 300 steps, besides the default blocks of
+# tens to hundreds of steps that the cases above run in
 _BLOCK_STEPS = [1, 3, 300]
 
 
 def _set_block_steps(monkeypatch, scenario, n_rows, steps):
     """Patch NOISE_BLOCK_VALUES so that a batch of n_rows rows of `scenario`
     steps in signal blocks of `steps` steps."""
-    # per row and step: y_p, y_w_tilde, y_q, y_r, u, the detector state and K y_q
-    signal_width = 4 + scenario.plant.B.shape[1] + 2 * scenario.detector.A.shape[0]
+    # per row and step: y_p, y_w_tilde, y_q, y_r, u, the plant, controller and
+    # detector states and K y_q
+    signal_width = (4 + scenario.plant.B.shape[1] + scenario.plant.A.shape[0]
+                    + scenario.controller.A.shape[0] + 2 * scenario.detector.A.shape[0])
     budget = 1 if steps == 1 else sim.STEP_BLOCK_SHARE * n_rows * signal_width * steps
     monkeypatch.setattr(sim, "NOISE_BLOCK_VALUES", budget)
     noise_width = 1 + scenario.plant.A.shape[0]

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -397,34 +398,48 @@ def _shipped_config(demo_cfg, name):
     return SwitchingConfig.from_dict(dict(demo_cfg.to_dict(), curve=dict(zip("abs", curve)), l=l))
 
 
+@functools.cache
+def _shipped_tap_image(name):
+    """Every tap_table row of a shipped config, in point order, filled once
+    for the tests that read them all."""
+    cfg = _shipped_config(shipped.load_demo_config(), name)
+    return [_tap_row(i, cfg) for i in range(len(cfg.tap_table))]
+
+
 # (rows, SHA-256 of their float64 bytes) of the demo config's whole tap
-# image: every tap_table row, in point order, on its own curve and on
-# (2, 3, 307). eta1 runs CPython's own math.hypot, not the host's libm, so a
-# Python release that rounds it differently changes these digests, also on
-# rows that no golden run reaches.
+# image: every tap_table row, in point order, on each shipped curve. eta1
+# runs CPython's own math.hypot, not the host's libm, so a Python release
+# that rounds it differently changes these digests, also on rows that no
+# golden run reaches.
 _TAP_IMAGES = {
     "s17": (18, "6d627eaa176b163258fe1bb814009d473c68ae3ba58393e24843645382d745fb"),
     "s307": (309, "2f1a9ac4a59121d40fd5b30815c12f24c3465ada79ac166353c4458d0bebcc30"),
+    "s9973": (9885, "01b3c97bd0f3fb3155a27717334e4bbab2bff03255fc081e3cb21a7069daf2c4"),
 }
 
 
 @pytest.mark.parametrize("name", list(_TAP_IMAGES))
-def test_shipped_tap_image_is_pinned(demo_cfg, name):
-    cfg = _shipped_config(demo_cfg, name)
-    rows = np.array([_tap_row(i, cfg).taps for i in range(len(cfg.tap_table))])
+def test_shipped_tap_image_is_pinned(name):
+    rows = np.array([theta.taps for theta in _shipped_tap_image(name)])
     assert rows.dtype == np.float64
     assert (len(rows), hashlib.sha256(rows.tobytes()).hexdigest()) == _TAP_IMAGES[name]
 
 
 @pytest.mark.parametrize("name", list(_SHIPPED_CONFIGS))
-def test_shipped_tap_image_is_stable(demo_cfg, name):
+def test_shipped_tap_image_is_stable(name):
     # the paper's stability claim on every tap vector the config can switch
     # to: the remover passes the tap-domain test and its poles lie inside the
     # unit circle
-    cfg = _shipped_config(demo_cfg, name)
-    reports = [check_stability(_tap_row(i, cfg)) for i in range(len(cfg.tap_table))]
+    reports = [check_stability(theta) for theta in _shipped_tap_image(name)]
     assert all(report.gershgorin_pass for report in reports)
     assert max(report.spectral_radius for report in reports) < 1.0
+
+
+def _projection_samples():
+    """Samples near the shipped scenarios' setpoint, then spread wide."""
+    rng = np.random.default_rng(2_000_003)
+    return np.concatenate([10.0 + rng.uniform(-0.05, 0.05, 10_000),
+                           rng.normal(0.0, 30.0, 10_000)])
 
 
 def test_projection_survives_other_atan_roundings(demo_cfg, monkeypatch):
@@ -433,9 +448,7 @@ def test_projection_survives_other_atan_roundings(demo_cfg, monkeypatch):
     # projects every sample onto the same point (nearest_indices answers as
     # nearest_index does, and sigma keys its taps on that point)
     mpmath = pytest.importorskip("mpmath")
-    rng = np.random.default_rng(2_000_003)
-    ys = np.concatenate([10.0 + rng.uniform(-0.05, 0.05, 10_000),
-                         rng.normal(0.0, 30.0, 10_000)])
+    ys = _projection_samples()
     configs = [_shipped_config(demo_cfg, name) for name in _SHIPPED_CONFIGS]
     # every config scales with the demo coefficients: these are alpha1's atan inputs
     inputs = {u for coeffs in (demo_cfg.alpha_x, demo_cfg.alpha_y)
@@ -459,6 +472,40 @@ def test_projection_survives_other_atan_roundings(demo_cfg, monkeypatch):
         monkeypatch.setattr(math, "atan", patched)
         for got, want in zip(indices(), expected, strict=True):
             assert np.array_equal(got, want)
+
+
+def _bisector_margins(curve, qx, qy):
+    """Distance from each query to the bisector between its nearest and
+    runner-up points, in ulps of its larger coordinate."""
+    points = curve.affine_points()
+    px, py = np.array([p.x for p in points], float), np.array([p.y for p in points], float)
+    # both points lie within r of the query: every point outside the band of
+    # columns scanned is farther in x alone
+    r = 3.0 * curve.s / math.sqrt(len(points))
+    margins = np.empty(len(qx))
+    for chunk in np.array_split(np.argsort(qx), -(-len(qx) // 256)):
+        x, y = qx[chunk, None], qy[chunk, None]
+        lo, hi = np.searchsorted(px, [x.min() - r, x.max() + r])
+        d = (px[lo:hi] - x) * (px[lo:hi] - x) + (py[lo:hi] - y) * (py[lo:hi] - y)
+        two = np.argpartition(d, 1, axis=1)[:, :2]
+        d_a, d_b = np.take_along_axis(d, two, axis=1).T
+        assert (d_b <= r * r).all()
+        a, b = (lo + two).T
+        # |q - b|^2 - |q - a|^2 = 2 |a - b| times q's distance to the bisector
+        distance = (d_b - d_a) / (2.0 * np.hypot(px[a] - px[b], py[a] - py[b]))
+        margins[chunk] = distance / np.spacing(np.maximum(x, y)[:, 0])
+    return margins
+
+
+@pytest.mark.parametrize("name", list(_SHIPPED_CONFIGS))
+def test_projection_margin_dwarfs_rounding(demo_cfg, name):
+    # an atan one ulp off moves these scaled samples by at most 1024 ulps of
+    # the larger coordinate (s17; 128 at s307, 4 at s9973): each sample lies
+    # a thousand times that or more from the bisector between its nearest
+    # and runner-up points, where its projection would change
+    cfg = _shipped_config(demo_cfg, name)
+    qx, qy = alpha1(_projection_samples(), cfg.alpha_x, cfg.alpha_y, cfg.curve.s)
+    assert _bisector_margins(cfg.curve, qx, qy).min() >= 1e6
 
 
 def test_sigma_equals_staged_sigma_on_miss_and_hit():
