@@ -34,7 +34,7 @@ class DivergenceError(EcwmError):
         self.step = step
         self.magnitude = magnitude
         super().__init__(
-            f"state of block '{block}' reached magnitude {magnitude:.3e} at step {step}"
+            f"state of block '{block}' reached magnitude {magnitude!r} at step {step}"
         )
 
 

@@ -25,11 +25,12 @@ controller and the plant and controller states, and 6), writing each step's
 signals and states into buffers for a block of steps, and the detector then
 runs over the block in one pass (`_observe`): the same products in the same
 order, so every residual and state is the per-step one bit for bit. The
-divergence guard then scans the block's plant, controller and detector
-states once and reports the step, row and block a per-step guard would
-have (see `run_batch`). Past a divergence the loop steps on to the block's
-end, so a later switch there may fill `tap_table` rows that a per-step
-guard would not; no output reads them.
+divergence guard checks the start states before step 0, then scans each
+block's plant, controller and detector states once and reports the step,
+row and block a per-step guard would have (see `run_batch`). Past a
+divergence the loop steps on to the block's end, so a later switch there
+may fill `tap_table` rows that a per-step guard would not; no output reads
+them.
 
 Runs step in lockstep: `run_batch` advances R runs, one per seed, together
 on states stacked as (R, n, 1) arrays, and a single run is a batch of one.
@@ -245,7 +246,8 @@ def run_batch(scenario: Scenario, seeds, *, horizon: int | None = None,
     step at which any row's state leaves the overflow guard, the lowest row
     index among the rows failing at that step (runs before calibration
     runs), and that row's first offending block (plant, controller, detector
-    order) with its peak. A single run reports what it reports alone.
+    order) with its peak; a start state beyond the guard is reported at step
+    0 before any step runs. A single run reports what it reports alone.
     """
     spec = scenario.detector.threshold
     horizon = scenario.horizon if horizon is None else int(horizon)
@@ -386,8 +388,13 @@ def _lockstep(scenario: Scenario, seeds, horizon: int, calibrate=False):
     # states stacked as (R, n, 1) (see the module docstring for why): slot 0
     # of a block's buffer holds the state at its start, slot j + 1 the state
     # after its step j
-    states = {name: np.tile(x0[:, None], (size + 1, n_rows, 1, 1))
-              for name, x0 in (("plant", plant.x0), ("controller", ctrl.x0), ("detector", det.x0))}
+    starts = (("plant", plant.x0), ("controller", ctrl.x0), ("detector", det.x0))
+    # a start state beyond the divergence guard fails before step 0
+    for name, x0 in starts:
+        peak = float(np.abs(x0).max())
+        if not peak <= STATE_OVERFLOW:
+            raise DivergenceError(name, 0, peak)
+    states = {name: np.tile(x0[:, None], (size + 1, n_rows, 1, 1)) for name, x0 in starts}
     xp_blk, xc_blk, xr_blk = states.values()
     scratch = np.empty((size, n_rows, n_r, 1))
 

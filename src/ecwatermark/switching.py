@@ -10,6 +10,12 @@ One evaluation takes the last shared output sample through three stages:
    clamp the outcome into the admissible tap set (nonzero leading tap,
    contractive tail), which keeps the inverse filter provably stable.
 
+Stage 1 has one scalar path, `_scale`: it scales both coordinates in one
+plain-float pass from coefficients prepared as (a0, a1, reversed tail).
+`sigma` and `sigma_detail` read them from `SwitchingConfig.scaling`, made
+once per configuration; `alpha1` prepares them on each call, and its 1-D
+array path, which sweeps use, repeats the same operations element by element.
+
 Everything after the projection in stage 2 depends only on the nearest
 point and the configuration, so the map's image is one tap vector per affine
 point: `sigma` derives each point's taps once per configuration, keeps them
@@ -130,35 +136,68 @@ def admissible_taps(params, count: int | None = None) -> tuple[float, ...]:
 _B1_CAP = 1.0 - 2.0**-20
 
 
-def _scale_component(y: float | np.ndarray, coeffs, s: int, block: bool = False):
-    """One coordinate of alpha1: a0*atan(a1*y) + inner*t*t with t = |y| and
-    inner the Horner sum of a2, a3, ..., reduced mod s.
-
-    y is a float, or with `block` a 1-D float64 array scaled element by
-    element with the same IEEE operations in the same order, so each element
-    is bit for bit the float result. atan is math.atan per element, not
-    np.arctan, whose SIMD loops need not round as libm does. A float whose
-    value overflows raises InputError; an array element whose value does
-    comes back NaN.
-    """
+def _prepare(coeffs) -> tuple:
+    """One coordinate's scaling coefficients as the scaling reads them:
+    (a0, a1, (..., a3, a2)), the tail reversed for Horner's rule."""
     if len(coeffs) < 2:
         raise ValueError("scaling needs at least the two arctangent coefficients")
+    return coeffs[0], coeffs[1], coeffs[2:][::-1]
+
+
+def _scale(y: float, coeffs, s: int) -> tuple[float, float]:
+    """alpha1 of one sample from the coefficients of both coordinates, each
+    prepared by `_prepare`: the one scalar scaling.
+
+    Each coordinate is a0*atan(a1*y) + inner*t*t with t = |y| and inner the
+    Horner sum of the tail from 0.0, reduced mod s; % can land exactly on s
+    for tiny negative values, and that case folds back to 0.0 so results
+    stay in [0, s). InputError names a sample that is not a float or an int,
+    then a non-finite sample, then a coordinate that overflows.
+    """
+    if type(y) is not float:
+        # the configuration's number rule: an int or a float subclass
+        # (np.float64) converts exactly, a bool or any other type is no number
+        if isinstance(y, bool) or not isinstance(y, (int, float)):
+            raise InputError(f"measurement must be a float or an int, got {type(y).__name__}")
+        try:
+            y = float(y)
+        except OverflowError as exc:
+            raise InputError(f"measurement out of range: {exc}") from exc
+    (ax0, ax1, ax_tail), (ay0, ay1, ay_tail) = coeffs
     t = abs(y)
     inner = 0.0
-    for c in reversed(coeffs[2:]):
+    for c in ax_tail:
         inner = inner * t + c
-    u = coeffs[1] * y
-    a = np.array(list(map(math.atan, u.tolist()))) if block else math.atan(u)
-    value = coeffs[0] * a + inner * t * t
-    # % can land exactly on s for tiny negative values; fold that case back
-    # to 0 so results stay in [0, s)
-    r = value % s
-    if block:
-        r[r == s] = 0.0
-        return r
-    if not math.isfinite(value):
+    gx = ax0 * math.atan(ax1 * y) + inner * t * t
+    inner = 0.0
+    for c in ay_tail:
+        inner = inner * t + c
+    gy = ay0 * math.atan(ay1 * y) + inner * t * t
+    if not (math.isfinite(gx) and math.isfinite(gy)):
+        # a non-finite sample leaves NaN in both coordinates
+        if not math.isfinite(y):
+            raise InputError(f"measurement must be finite, got {y!r}")
         raise InputError(f"scaling of y={y!r} overflowed double precision")
-    return 0.0 if r == s else r
+    gx %= s
+    gy %= s
+    return 0.0 if gx == s else gx, 0.0 if gy == s else gy
+
+
+def _scale_component(y: np.ndarray, coeffs, s: int) -> np.ndarray:
+    """One coordinate of `_scale` over a 1-D float64 array, from prepared
+    coefficients: the same IEEE operations in the same order, element by
+    element, so each element is bit for bit the float result. atan is
+    math.atan per element, not np.arctan, whose SIMD loops need not round as
+    libm does. An element whose value overflows comes back NaN."""
+    a0, a1, tail = coeffs
+    t = np.abs(y)
+    inner = 0.0
+    for c in tail:
+        inner = inner * t + c
+    a = np.array(list(map(math.atan, (a1 * y).tolist())))
+    r = (a0 * a + inner * t * t) % s
+    r[r == s] = 0.0
+    return r
 
 
 def alpha1(y: float | np.ndarray, coeffs_x, coeffs_y, s: int) -> tuple:
@@ -169,25 +208,24 @@ def alpha1(y: float | np.ndarray, coeffs_x, coeffs_y, s: int) -> tuple:
     The polynomial part is evaluated by Horner's rule so both endpoints
     round identically.
 
-    y is a float, giving a pair of floats, or a 1-D float64 array of
-    measurements, giving a pair of arrays bit for bit equal to the float
-    calls. InputError names a non-finite measurement first, then a
-    coordinate that overflows; a block raises the error of the float call
-    at its first bad measurement, in input order.
+    y is a float or an int, giving a pair of floats (`_scale`), or a 1-D
+    float64 array of measurements, giving a pair of arrays bit for bit equal
+    to the float calls. InputError names a sample of any other type, then a
+    non-finite measurement, then a coordinate that overflows; a block raises
+    the error of the float call at its first bad measurement, in input order.
     """
-    if isinstance(y, (int, float)) and math.isfinite(y):
-        return (_scale_component(y, coeffs_x, s), _scale_component(y, coeffs_y, s))
+    coeffs = _prepare(coeffs_x), _prepare(coeffs_y)
     if not isinstance(y, np.ndarray):
-        raise InputError(f"measurement must be finite, got {y!r}")
+        return _scale(y, coeffs, s)
     if y.ndim != 1 or y.dtype != np.float64:
         raise ValueError("a block of measurements must be a 1-D float64 array")
     with np.errstate(over="ignore", invalid="ignore"):
-        xs, ys = _scale_component(y, coeffs_x, s, True), _scale_component(y, coeffs_y, s, True)
+        xs, ys = _scale_component(y, coeffs[0], s), _scale_component(y, coeffs[1], s)
     bad = np.isnan(xs) | np.isnan(ys)
     if bad.any():
         # a non-finite measurement or an overflow leaves NaN: the float call
         # at the first one raises its own error
-        alpha1(float(y[bad.argmax()]), coeffs_x, coeffs_y, s)
+        _scale(float(y[bad.argmax()]), coeffs, s)
     return xs, ys
 
 
@@ -345,6 +383,12 @@ class SwitchingConfig:
         field, so it takes no part in ==, hash or serialization."""
         return [None] * (self.curve.order() - 1)
 
+    @cached_property
+    def scaling(self) -> tuple:
+        """`alpha_x` and `alpha_y` prepared as `_scale` reads them, once per
+        configuration. Not a field either."""
+        return _prepare(self.alpha_x), _prepare(self.alpha_y)
+
     # -- serialization -----------------------------------------------------
 
     @classmethod
@@ -430,7 +474,7 @@ def sigma_detail(y_prev: float, cfg: SwitchingConfig) -> SwitchOutcome:
     depends on runtime data, so both endpoints agree without communication.
     Every stage runs on each call; this is the reference `sigma` must equal.
     """
-    scaled = alpha1(y_prev, cfg.alpha_x, cfg.alpha_y, cfg.curve.s)
+    scaled = _scale(y_prev, cfg.scaling, cfg.curve.s)
     p = alpha2(scaled, cfg.curve)
     return SwitchOutcome(scaled, p, *_derive(p, cfg))
 
@@ -453,8 +497,9 @@ def sigma(y_prev: float, cfg: SwitchingConfig) -> FirParams:
     Equal to `sigma_detail(y_prev, cfg).theta`, but the stages after the
     projection run once per nearest point and configuration (`_tap_row`).
     """
-    x, y = alpha1(y_prev, cfg.alpha_x, cfg.alpha_y, cfg.curve.s)
-    i = cfg.curve.nearest_index(x, y)
+    curve = cfg.curve
+    x, y = _scale(y_prev, cfg.scaling, curve.s)
+    i = curve.nearest_index(x, y)
     theta = cfg.tap_table[i]
     return _tap_row(i, cfg) if theta is None else theta
 

@@ -77,6 +77,10 @@ def oracle_run(scenario: Scenario, *, horizon: int | None = None,
     x_p = plant.x0.copy()
     x_c = ctrl.x0.copy()
     x_r = det.x0.copy()
+    # the per-step guard checks the start states before step 0
+    _check_state("plant", x_p, 0)
+    _check_state("controller", x_c, 0)
+    _check_state("detector", x_r, 0)
 
     # hoisted views for the per-step scalar taps
     c_p_row = plant.C[0]

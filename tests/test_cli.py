@@ -334,6 +334,18 @@ def test_sim_diverging_calibration_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sim_start_state_beyond_the_guard_exit_code(tmp_path, capsys):
+    d = json.loads(shipped.data_text("scenario_nominal.json"))
+    d["plant"]["x0"] = [1.5e12, 0.0]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(d))
+    out = tmp_path / "div"
+    assert main(["sim", "--scenario", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("simulation diverged: state of block 'plant' reached "
+                                       "magnitude 1500000000000.0 at step 0\n")
+    assert not out.exists()
+
+
 def test_sim_io_error_exit_code(tmp_path, capsys):
     path = _write_short_scenario(tmp_path)
     blocker = tmp_path / "blocked"

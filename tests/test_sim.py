@@ -512,7 +512,9 @@ def test_divergence_pretest_passes_bounded_states(plant_A, plant_x0):
     (_held_scenario([[1.0]], [1.0000001e12]), "plant", 0, 1.0000001e12),
     (_held_scenario([[1.0]], [-1.0000001e12]), "plant", 0, 1.0000001e12),
     (_held_scenario([[2.0]], [1e11]), "plant", 3, 1.6e12),
-    (_held_scenario([[1e10]], [1e300]), "plant", 0, math.inf),
+    # the start state is beyond the guard, so its peak is reported, not the
+    # infinite state after step 0
+    (_held_scenario([[1e10]], [1e300]), "plant", 0, 1e300),
     (_held_scenario([[1.0]], [math.nan]), "plant", 0, math.nan),
     (_held_scenario(np.eye(2), [0.9e12, 0.9e12], ctrl_x0=1.0000001e12), "controller", 0,
      1.0000001e12),
@@ -538,6 +540,29 @@ def test_divergence_pretest_falls_through_to_block_checks(scenario, block, step,
         assert (err.value.block, err.value.step) == (block, step)
         magnitude = err.value.magnitude
         assert magnitude == peak or (math.isnan(peak) and math.isnan(magnitude))
+
+
+@pytest.mark.parametrize("scenario", [
+    _held_scenario([[1.0]], [1.0000001e12]),  # a start state
+    _held_scenario([[1.0000001]], [1e12]),  # the state after step 0
+])
+def test_divergence_message_reads_back_the_magnitude(scenario):
+    # the printed magnitude is the peak itself, so a state just past the
+    # guard does not read as the bound
+    with pytest.raises(DivergenceError) as err:
+        run_scenario(scenario)
+    printed = str(err.value).split("reached magnitude ")[1].split(" at step")[0]
+    assert float(printed) == err.value.magnitude > sim.STATE_OVERFLOW
+
+
+@pytest.mark.parametrize("block", ["plant", "controller", "detector"])
+def test_start_state_beyond_the_guard_fails_before_step_0(block):
+    # the nominal scenario calibrates its threshold; a start state beyond the
+    # guard stops the runs and the calibration runs before step 0
+    x0 = json.loads(shipped.data_text("scenario_nominal.json"))[block]["x0"]
+    scenario = _scenario("nominal", **{f"{block}__x0": [1.5e12] + x0[1:]})
+    for run in (run_scenario, lambda sc: run_batch(sc, [0, 1, 2]), oracle_run):
+        assert _divergence(lambda: run(scenario)) == (block, 0, 1.5e12)
 
 
 @pytest.mark.parametrize("scenario, start", [
@@ -956,8 +981,12 @@ def test_run_batch_raises_the_first_failing_switch_key_error(low, high, seeds, m
 
 
 def test_non_finite_watermark_input_matches_oracle():
-    # the generator output overflows at step 0: the remover's input is inf
-    scenario = _scenario("nominal", 10, plant__x0=[1.7e308, 0.0])
+    # the generator output overflows at step 0: the remover's input is inf;
+    # the start state is at the divergence guard, and the output gain takes
+    # y_p to 1.7e308
+    scenario = _scenario("nominal", 10, plant__x0=[1e12, 0.0])
+    scenario = dataclasses.replace(
+        scenario, plant=dataclasses.replace(scenario.plant, C=np.array([[1.7e296, 0.0]])))
     with pytest.raises(InputError) as single:
         oracle_run(scenario, threshold=0.18)
     with pytest.raises(InputError) as batch:

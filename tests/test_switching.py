@@ -82,6 +82,11 @@ def test_alpha1_tiny_negative_stays_in_interval():
     # float modulo folds -1e-20 % 17 onto 17.0; the map must return 0.0 instead
     gx, _ = alpha1(-1e-22, (0.0, 0.0, 1.0), (0.0, 0.0), 17)
     assert 0.0 <= gx < 17.0
+    # here x is atan(-1e-22) + 1e-44 * (2e-22 + 1) = -1e-22, and % 17 gives
+    # 17.0 exactly: the fold returns +0.0
+    assert -1e-22 % 17 == 17.0
+    gx, _ = alpha1(-1e-22, (1.0, 1.0, 1.0, 2.0), (2.5, 0.7, 1.7), 17)
+    assert gx.hex() == (0.0).hex()
 
 
 def test_alpha1_rejects_non_finite():
@@ -608,6 +613,99 @@ def test_sigma_rejects_non_finite_sample_before_the_table(y):
     with pytest.raises(InputError):
         sigma(y, cfg)
     assert cfg.tap_table.count(None) == len(cfg.tap_table)
+
+
+def _bits(pair):
+    """A coordinate pair as hex strings, so -0.0 and 0.0 differ."""
+    return [float(v).hex() for v in pair]
+
+
+@pytest.mark.parametrize("coeffs, ys", [
+    # the demo coefficients on signed zeros, the smallest subnormal and ints
+    (((4.0, 1.0, 3.0, 2.4), (2.5, 0.7, 1.7, 3.1)), [0.0, -0.0, 5e-324, -5e-324, 3, -7, 10**6]),
+    # a tail that keeps the x value tiny and negative, so % 17 lands on 17.0
+    # and folds to 0.0
+    (((1.0, 1.0, 1.0, 2.0), (2.5, 0.7, 1.7)), [-1e-22]),
+    # two coefficients each: empty tails
+    (((4.0, 1.0), (2.5, 0.7)), [10.3, -2.0, 0.0]),
+], ids=["demo", "fold", "empty-tail"])
+def test_sigma_projects_the_scaled_coordinates(monkeypatch, coeffs, ys):
+    # sigma, alpha1 and sigma_detail reach one scalar scaling, bit for bit
+    cfg = make_config(alpha_x=coeffs[0], alpha_y=coeffs[1])
+    projected = []
+    original = Curve.nearest_index
+    monkeypatch.setattr(Curve, "nearest_index",
+                        lambda self, x, y: projected.append((x, y)) or original(self, x, y))
+    for y in ys:
+        projected.clear()
+        sigma(y, cfg)
+        expected = alpha1(y, *coeffs, 17)
+        assert [_bits(pt) for pt in projected] == [_bits(expected)]
+        assert _bits(sigma_detail(y, cfg).scaled) == _bits(expected)
+
+
+def test_alpha1_horner_closed_form():
+    # inner = a3*t + a2, the Horner sum from 0.0 with the highest power first
+    for y in (2.0, -3.5, 0.25):
+        t = abs(y)
+        x = (4.0 * math.atan(1.0 * y) + (2.4 * t + 3.0) * t * t) % 17
+        y_ = (2.5 * math.atan(0.7 * y) + ((3.1 * t + 1.7) * t) * t * t) % 17
+        assert _bits(alpha1(y, (4.0, 1.0, 3.0, 2.4), (2.5, 0.7, 0.0, 1.7, 3.1), 17)) == \
+            _bits((x, y_))
+
+
+@pytest.mark.parametrize("coeffs", [((0.0, 0.0, 1.0, 1.0), (4.0, 1.0)),
+                                    ((4.0, 1.0), (0.0, 0.0, 1.0, 1.0))],
+                         ids=["x-overflows", "y-overflows"])
+def test_scaling_overflow_in_one_coordinate_raises_the_same_error(coeffs):
+    cfg = make_config(alpha_x=coeffs[0], alpha_y=coeffs[1])
+    message = "scaling of y=1e+200 overflowed double precision"
+    for scale in (lambda y: alpha1(y, *coeffs, 17), lambda y: sigma(y, cfg),
+                  lambda y: sigma_detail(y, cfg)):
+        with pytest.raises(InputError) as err:
+            scale(1e200)
+        assert str(err.value) == message
+    assert cfg.tap_table.count(None) == len(cfg.tap_table)
+
+
+@pytest.mark.parametrize("y, message", [
+    (np.float32(1.5), "measurement must be a float or an int, got float32"),
+    (np.int64(3), "measurement must be a float or an int, got int64"),
+    (True, "measurement must be a float or an int, got bool"),
+    (False, "measurement must be a float or an int, got bool"),
+    ("1.0", "measurement must be a float or an int, got str"),
+    (None, "measurement must be a float or an int, got NoneType"),
+    (10**400, "measurement out of range: int too large to convert to float"),
+], ids=["float32", "int64", "true", "false", "str", "none", "huge-int"])
+def test_sigma_rejects_samples_of_other_types(y, message):
+    # the config's number rule: a bool is not a number, and no other type
+    # converts silently
+    cfg = make_config()
+    for scale in (lambda: sigma(y, cfg), lambda: sigma_detail(y, cfg),
+                  lambda: alpha1(y, cfg.alpha_x, cfg.alpha_y, 17)):
+        with pytest.raises(InputError) as err:
+            scale()
+        assert str(err.value) == message
+    assert cfg.tap_table.count(None) == len(cfg.tap_table)
+
+
+def test_sigma_accepts_ints_and_float_subclasses():
+    cfg = make_config()
+    for y, same in ((np.float64(10.3), 10.3), (np.float64(-0.0), -0.0), (3, 3.0), (-7, -7.0)):
+        assert sigma(y, cfg) is sigma(same, cfg)
+        assert _bits(alpha1(y, cfg.alpha_x, cfg.alpha_y, 17)) == \
+            _bits(alpha1(same, cfg.alpha_x, cfg.alpha_y, 17))
+
+
+def test_prepared_scaling_is_no_field():
+    text = json.dumps(make_config().to_dict())
+    cfg_a, cfg_b = SwitchingConfig.from_json(text), SwitchingConfig.from_json(text)
+    # (a0, a1, tail reversed) per coordinate, prepared once
+    assert cfg_a.scaling == ((4.0, 1.0, (2.4, 3.0)), (2.5, 0.7, (3.1, 1.7)))
+    assert cfg_a.scaling is cfg_a.scaling
+    assert "scaling" not in {f.name for f in dataclasses.fields(cfg_a)}
+    assert cfg_a == cfg_b and hash(cfg_a) == hash(cfg_b)
+    assert cfg_a.to_dict() == cfg_b.to_dict() == json.loads(text)
 
 
 # -- configuration -----------------------------------------------------------------
