@@ -61,10 +61,12 @@ BLOCK_DISTANCES = 1 << 14
 
 # nearest_index scans a cell table in plain floats on curves with s up to
 # this bound, and the numpy column bands above it. Filled, the table takes
-# about 260 bytes per affine point (0.49 MB under tracemalloc at s = 2039).
-# Each endpoint keeps its own, so the bound keeps it out of the set-up and
-# memory of curves near the enumeration bound, where numpy's per-call cost
-# is small against the band scan.
+# about 260 bytes per affine point (0.49 MB under tracemalloc at s = 2039,
+# 2.55 MB at s = 9973). Each endpoint keeps its own, so the bound keeps it
+# out of the set-up and memory of curves near the enumeration bound. Serving
+# s = 9973 from the table too cut the benchmark's switch-large latency_p50_ms
+# by about 31%, but raised its peak_rss_mb by 9.6% to 10.4% and its setup_s
+# by 17% to 22% (three alternating 30 s pairs on a 2-core VM).
 CELL_TABLE_MAX_S = 2048
 
 

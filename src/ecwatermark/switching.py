@@ -66,12 +66,7 @@ class FirParams:
     taps: tuple[float, ...]
 
     def __post_init__(self):
-        taps = tuple(map(float, self.taps))
-        if len(taps) < 1:
-            raise ValueError("need at least the leading tap b0")
-        if not all(map(math.isfinite, taps)):
-            raise ValueError("taps must be finite")
-        object.__setattr__(self, "taps", taps)
+        object.__setattr__(self, "taps", tuple(map(float, self.taps)))
 
     def __len__(self):
         return len(self.taps)
@@ -90,16 +85,13 @@ class ThetaValidation:
     ok: bool
     violation: str | None = None
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def validate_theta(taps) -> ThetaValidation:
-    """Check the four admissibility conditions on a tap vector.
+    """Check the five admissibility conditions on a tap vector.
 
-    In order: every tap finite, b0 nonzero, |b1| strictly below 1, and the
-    tail radius sum_{i>=2} |b_i / b0| strictly below 1 - |b1|. The report
-    names the first condition that fails.
+    In order: every tap finite, b0 nonzero, |b1| strictly below 1, the tail
+    radius sum_{i>=2} |b_i / b0| strictly below 1 - |b1|, and 1 / b0 finite
+    in double precision. The report names the first condition that fails.
     """
     taps = tuple(float(v) for v in taps)
     if len(taps) < 2:
@@ -115,18 +107,18 @@ def validate_theta(taps) -> ThetaValidation:
         total += abs(v / taps[0])
     if total >= 1.0 - abs(taps[1]):
         return ThetaValidation(False, "sum(|b_i/b0|, i>=2) must stay below 1 - |b1|")
+    if not math.isfinite(1.0 / taps[0]):
+        return ThetaValidation(False, "leading tap too small to invert in double precision")
     return ThetaValidation(True)
 
 
 def admissible_taps(params, count: int | None = None) -> tuple[float, ...]:
-    """`params` as a tap tuple; ParameterError if the taps are inadmissible,
-    their inverse overflows, or (given `count`) their number differs."""
+    """`params` as a tap tuple; ParameterError if `validate_theta` finds the
+    taps inadmissible or (given `count`) their number differs."""
     taps = tuple(map(float, params))
     report = validate_theta(taps)
-    if not report:
+    if not report.ok:
         raise ParameterError(f"inadmissible taps: {report.violation}")
-    if not math.isfinite(1.0 / taps[0]):
-        raise ParameterError("leading tap too small to invert in double precision")
     if count is not None and len(taps) != count:
         raise ParameterError(f"tap count changed from {count} to {len(taps)}")
     return taps
@@ -259,7 +251,9 @@ def eta1(point: Point, rows) -> tuple[float, ...]:
 
 
 def eta2(b_raw, *, floor: float, slope: float, margin: float) -> FirParams:
-    """Clamp a raw tap vector into the admissible set. Total by construction.
+    """Clamp a raw tap vector into the admissible set. Total by construction;
+    every output is admissible while 1 / floor is finite (floor above about
+    5.6e-309), since a floored b0 otherwise has no double-precision inverse.
 
     b0 keeps its raw value when |raw| >= floor, else it is floored to
     +-floor (the sign of a raw zero counts as +). b1 is squashed through
@@ -361,8 +355,8 @@ class SwitchingConfig:
             raise ConfigError("margin must lie in (0, 1)", path="eta_margin")
         if self.eta_floor < 1.0:
             warnings.warn(
-                "tap floor below 1.0: admissible taps are still produced but the "
-                "inverse filter is no longer provably stable",
+                "tap floor below 1.0: the inverse filter is no longer provably stable, "
+                "and a floor whose reciprocal overflows can give inadmissible taps",
                 ConfigurationWarning,
                 stacklevel=2,
             )

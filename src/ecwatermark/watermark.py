@@ -45,9 +45,8 @@ def check_stability(theta) -> StabilityReport:
     the remover's poles. It is infinite when b0 is zero, when 1/b0 or a
     ratio bi/b0 leaves double range, or when a tap is not finite."""
     taps = tuple(float(v) for v in theta)
-    tap_test = bool(validate_theta(taps)) and abs(taps[0]) >= 1.0
-    if (not all(map(math.isfinite, taps)) or taps[0] == 0.0
-            or not all(math.isfinite(b / taps[0]) for b in (1.0,) + taps[1:])):
+    tap_test = validate_theta(taps).ok and abs(taps[0]) >= 1.0
+    if taps[0] == 0.0 or not all(math.isfinite(b / taps[0]) for b in (1.0,) + taps):
         return StabilityReport(False, math.inf)
     radius = float(np.abs(np.roots(taps)).max(initial=0.0))
     return StabilityReport(tap_test, radius)

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ecwatermark import ConfigurationWarning, Curve, Scenario, shipped
+from ecwatermark import (ConfigurationWarning, Curve, ParameterError, Scenario,
+                         SwitchingConfig, shipped, sigma)
 from ecwatermark.cli import build_parser, main
 from ecwatermark.scenario import MAX_CALIBRATION_STEPS, MAX_HORIZON
 
@@ -88,6 +89,26 @@ def test_switch_eval_reports_valid_taps(demo_config_file, capsys):
     assert payload["violation"] is None
     assert len(payload["theta"]) == 3
     assert payload["P"] is not None and payload["S"] is not None
+
+
+def test_switch_eval_reports_taps_without_inverse(demo_config_file, capsys):
+    # b0 floored to the subnormal 1e-320: switch-eval gives the verdict that
+    # validate_theta gives and the text with which sigma refuses the taps
+    cfg = json.loads(demo_config_file.read_text())
+    cfg["eta_floor"] = 1e-320
+    cfg["eta1"][0] = [0.0]
+    demo_config_file.write_text(json.dumps(cfg))
+    with pytest.warns(ConfigurationWarning, match="floor"):
+        assert main(["switch-eval", "--config", str(demo_config_file), "--y", "5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["theta"][0] == 1e-320
+    assert payload["valid"] is False
+    assert payload["violation"] == "leading tap too small to invert in double precision"
+    with pytest.warns(ConfigurationWarning, match="floor"):
+        config = SwitchingConfig.load(demo_config_file)
+    with pytest.raises(ParameterError) as err:
+        sigma(5.0, config)
+    assert str(err.value) == f"inadmissible taps: {payload['violation']}"
 
 
 def test_switch_eval_deterministic(demo_config_file, capsys):
@@ -481,7 +502,8 @@ def test_sim_inadmissible_derived_taps_exit_config_error(tmp_path, capsys, theta
     with pytest.warns(ConfigurationWarning, match="floor"):
         assert main(["sim", "--scenario", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: leading tap too small to invert in double precision\n"
+    assert err == ("error: inadmissible taps: leading tap too small to invert in double "
+                   "precision\n")
     assert not out.exists()
 
 

@@ -19,8 +19,8 @@ from ecwatermark import (
     InputError,
     ParameterError,
     Point,
-    StabilityReport,
     SwitchingConfig,
+    ThetaValidation,
     WatermarkUnit,
     alpha1,
     alpha2,
@@ -276,8 +276,6 @@ def test_firparams_carrier():
     assert theta.taps == (2.0, 0.75, 0.3) and type(theta.taps[0]) is float
     assert len(theta) == 3 and theta[0] == 2.0
     assert list(theta) == [2.0, 0.75, 0.3]
-    with pytest.raises(ValueError):
-        FirParams((math.nan, 1.0))
 
 
 # -- full switching map ------------------------------------------------------------
@@ -761,16 +759,37 @@ def test_config_file_round_trip(tmp_path):
     assert SwitchingConfig.load(path).to_dict() == cfg.to_dict()
 
 
-@pytest.mark.parametrize("taps", [(1.0, math.nan), (1.0, 0.5, math.nan),
-                                  (math.inf, 0.5, 0.1)], ids=["b1-nan", "tail-nan", "b0-inf"])
-def test_non_finite_taps_are_inadmissible_everywhere(taps):
-    report = validate_theta(taps)
-    assert not report.ok and report.violation == "taps must be finite"
-    with pytest.raises(ParameterError, match="inadmissible taps: taps must be finite"):
+_FINITE = "taps must be finite"
+_B0 = "b0 must be nonzero"
+_B1 = "|b1| must be below 1"
+_TAIL = "sum(|b_i/b0|, i>=2) must stay below 1 - |b1|"
+_INVERT = "leading tap too small to invert in double precision"
+
+
+@pytest.mark.parametrize("taps,violation", [
+    ((1.0, math.nan), _FINITE),
+    ((1.0, 0.5, math.nan), _FINITE),
+    ((math.inf, 0.5, 0.1), _FINITE),
+    ((-0.0, 0.5, 0.2), _B0),
+    ((1.0, -1.0, 0.0), _B1),
+    ((1.0, 0.5, 0.5), _TAIL),
+    ((1e-320, 0.5, 0.0), _INVERT),
+], ids=["b1-nan", "tail-nan", "b0-inf", "b0-zero", "b1-magnitude-one", "tail-at-radius",
+        "b0-no-inverse"])
+def test_inadmissible_taps_agree_everywhere(taps, violation):
+    # validate_theta states the rule; every consumer reports its verdict
+    assert validate_theta(taps) == ThetaValidation(False, violation)
+    message = f"inadmissible taps: {violation}"
+    with pytest.raises(ParameterError) as err:
         admissible_taps(taps)
-    with pytest.raises(ParameterError, match="taps must be finite"):
+    assert str(err.value) == message
+    with pytest.raises(ParameterError) as err:
         WatermarkUnit("generator", taps)
-    assert check_stability(taps) == StabilityReport(False, math.inf)
+    assert str(err.value) == message
+    report = check_stability(taps)
+    assert report.gershgorin_pass is False
+    # the remover's poles exist only while b0 and every ratio b_i/b0 are finite
+    assert math.isinf(report.spectral_radius) is (violation not in (_B1, _TAIL))
 
 
 def test_config_invalid_json_reports_path(tmp_path):

@@ -10,6 +10,7 @@ from ecwatermark import (
     InputError,
     ParameterError,
     StabilityReport,
+    ThetaValidation,
     WatermarkSetup,
     apply_switch,
     check_stability,
@@ -289,9 +290,10 @@ def test_protocol_without_trigger_never_fires(demo_cfg):
 
 
 def test_subnormal_leading_tap_handled():
-    # passes the tap-domain conditions yet has no double-precision inverse
+    # passes the other tap-domain conditions yet has no double-precision inverse
     taps = (5e-324, 0.0)
-    assert validate_theta(taps).ok
+    assert validate_theta(taps) == ThetaValidation(
+        False, "leading tap too small to invert in double precision")
     report = check_stability(taps)
     assert not report.gershgorin_pass
     assert math.isinf(report.spectral_radius)
