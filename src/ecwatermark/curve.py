@@ -3,11 +3,13 @@
 Affine coordinates on plain Python ints throughout: on desk-scale fields one
 modular inversion (pow(v, -1, s)) per operation is cheap, and the
 chord-and-tangent case analysis stays easy to audit. The identity is the
-point at infinity O. The affine points are enumerated from field.root_table,
-the one table of square roots mod s (so its enumeration bound is the
-curve's too), into x and y coordinate arrays in one numpy pass; order(),
-the projection and the switching map read those arrays, and Point objects
-are built only for callers that ask (affine_points, affine_point); point
+point at infinity O. Construction enumerates the affine points from
+field.root_table, the one table of square roots mod s (so its enumeration
+bound is the curve's too, and Curve raises CapacityError past it), into x
+and y coordinate arrays in one numpy pass, and cuts them into the column
+bands of the projection; order(), the projection and the switching map read
+those arrays, and Point objects are built only for callers that ask
+(affine_points, affine_point); point
 orders come from walks of cyclic subgroups, one point's (point_order)
 or every point's (point_orders); the nearest affine point to a real query is
 an exact float64 search over the points near the query, with the whole
@@ -23,7 +25,6 @@ whole-curve list scan.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +89,9 @@ class Curve:
 
     Requires s >= 5: the short Weierstrass group law divides by 2 and the
     discriminant test by 27, so characteristics 2 and 3 are out of scope.
-    Construction rejects singular parameter choices (4a^3 + 27b^2 = 0 mod s).
+    Construction rejects singular parameter choices (4a^3 + 27b^2 = 0 mod s),
+    then enumerates the affine points and builds the column bands; it raises
+    CapacityError past the enumeration bound (see field.root_table).
     """
 
     def __init__(self, a: int, b: int, s: int):
@@ -105,14 +108,21 @@ class Curve:
         self.a = a
         self.b = b
         self.s = s
-        # coordinate arrays and projection tables, filled by _coordinates
-        self._xs: np.ndarray | None = None
-        self._ys: np.ndarray | None = None
+        # the affine points, sorted by (x, y): column x holds (x, r) when
+        # r >= 0 and (x, s - r) when r > 0, r the smaller root of its
+        # right-hand side (-1 for none); root_table refuses s past the bound
+        roots = root_table(s)
+        col = np.arange(s)
+        # below 10^12 within the enumeration bound, so int64 cannot wrap
+        r = roots[((col * col + a) * col + b) % s]
+        # the true entries of [r >= 0, r >= 1] per column, in row-major
+        # order: (x, y) order, since r <= s - r
+        self._xs, second = np.nonzero(r[:, None] >= np.arange(2))
+        ry = r[self._xs]
+        self._ys = np.where(second, s - ry, ry)
+        self._build_buckets(self._xs, self._ys)
+        # Point objects, the cell table and its cells, made on first use
         self._affine: list[Point] | None = None
-        self._width = 0
-        self._buckets: list[tuple] = []
-        self._whole: tuple = ()
-        # nearest_index's cell table, made on its first use (_cell_grid)
         self._grid: tuple | None = None
         self._cell_points: tuple = ()
 
@@ -186,42 +196,16 @@ class Curve:
 
     # -- enumeration and derived quantities --------------------------------
 
-    def _coordinates(self) -> tuple[np.ndarray, np.ndarray]:
-        """x and y of every affine point as int arrays, sorted by (x, y).
-
-        Enumerated on the first call, with the projection tables: column x
-        holds (x, r) when r >= 0 and (x, s - r) when r > 0, r the smaller
-        root of its right-hand side from field.root_table (-1 for none).
-        Raises CapacityError past the enumeration bound (see root_table).
-        """
-        if self._xs is None:
-            s = self.s
-            roots = root_table(s)  # first: it refuses a field past the bound
-            col = np.arange(s)
-            # below 10^12 within the enumeration bound, so int64 cannot wrap
-            r = roots[((col * col + self.a) * col + self.b) % s]
-            # the true entries of [r >= 0, r >= 1] per column, in row-major
-            # order: (x, y) order, since r <= s - r
-            xs, second = np.nonzero(r[:, None] >= np.arange(2))
-            ry = r[xs]
-            ys = np.where(second, s - ry, ry)
-            self._build_buckets(xs, ys)
-            self._xs, self._ys = xs, ys
-        return self._xs, self._ys
-
     def affine_points(self) -> list[Point]:
         """All affine points, sorted by (x, y): Point objects built from the
-        coordinate arrays on the first call and cached. Raises CapacityError
-        past the enumeration bound (see root_table)."""
+        coordinate arrays on the first call and cached."""
         if self._affine is None:
-            xs, ys = self._coordinates()
-            self._affine = list(map(Point, xs.tolist(), ys.tolist()))
+            self._affine = list(map(Point, self._xs.tolist(), self._ys.tolist()))
         return self._affine
 
     def affine_point(self, i: int) -> Point:
         """affine_points()[i], built on its own from the coordinate arrays."""
-        xs, ys = self._coordinates()
-        return Point(xs.item(i), ys.item(i))
+        return Point(self._xs.item(i), self._ys.item(i))
 
     def _build_buckets(self, xs: np.ndarray, ys: np.ndarray) -> None:
         """Cut the columns [0, s) into buckets of W columns for nearest_indices,
@@ -255,7 +239,7 @@ class Curve:
         return [INFINITY] + self.affine_points()
 
     def order(self) -> int:
-        return len(self._coordinates()[0]) + 1
+        return len(self._xs) + 1
 
     def _multiples(self, p: Point) -> list[Point]:
         """[p, 2p, ..., (m-1)p] for an affine point p of order m: p added to
@@ -355,8 +339,6 @@ class Curve:
                     best, k = d, i
             if k >= 0:
                 return k
-        if self._xs is None:
-            self._coordinates()
         if 0 <= x < s:
             xs, ys, lo, bound = self._buckets[int(x) // self._width]
         else:
@@ -377,13 +359,13 @@ class Curve:
         the first scalar query, with what the cells share: the (index, x, y)
         float tuple of every point, and the first index of each column of
         cells."""
-        s, n = self.s, len(self._coordinates()[0])
+        s, n = self.s, len(self._xs)
         w = max(1, round(s / math.sqrt(n)))
         m = -(-s // w)
         fx, fy = self._whole[0].tolist(), self._whole[1].tolist()
         # starts[j] is the first index in column (j-1)W or later, as edges in
         # _build_buckets
-        starts = [bisect_left(fx, j * w) for j in range(-1, m + 2)]
+        starts = np.searchsorted(self._xs, np.arange(-1, m + 2) * w).tolist()
         self._cell_points = (list(zip(range(n), fx, fy)), starts)
         self._grid = (w, m, float(w * w), [None] * (m * m))
         return self._grid
@@ -411,8 +393,6 @@ class Curve:
         most about BLOCK_DISTANCES distances. Raises InputError for the first
         query, in input order, that nearest_index would reject.
         """
-        if self._xs is None:
-            self._coordinates()
         qx = np.asarray(qx, dtype=np.float64)
         qy = np.asarray(qy, dtype=np.float64)
         if qx.ndim != 1 or qx.shape != qy.shape:

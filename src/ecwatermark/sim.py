@@ -216,11 +216,11 @@ def _noise_block(rng: np.random.Generator, plant: PlantModel, rows: int) -> np.n
 
 
 def calibrate_threshold(scenario: Scenario) -> float:
-    """Constant detector threshold from the spec's `runs` attack-free runs
-    (see `_lockstep`): a lockstep batch of calibration rows only. A diverging
-    run raises DivergenceError as in `run_batch`."""
-    if scenario.attack.kind != "none":
-        raise ValueError("threshold calibration requires an attack-free scenario")
+    """Constant detector threshold from the spec's `runs` calibration runs
+    (see `_lockstep`): a lockstep batch of calibration rows only. The rows
+    are attack-free whatever the scenario's attack, so an attacked scenario
+    calibrates as its attack-free copy does, and as `run_scenario` does. A
+    diverging run raises DivergenceError as in `run_batch`."""
     return _lockstep(scenario, [], scenario.horizon, calibrate=True)[-1]
 
 

@@ -358,7 +358,7 @@ class SwitchingConfig:
                 "tap floor below 1.0: the inverse filter is no longer provably stable, "
                 "and a floor whose reciprocal overflows can give inadmissible taps",
                 ConfigurationWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
         if self.l % self.curve.order() == 0:
             warnings.warn(
@@ -366,7 +366,7 @@ class SwitchingConfig:
                 "multiplication lands on the identity and the fallback rule "
                 "always applies",
                 ConfigurationWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @cached_property

@@ -90,8 +90,19 @@ class WatermarkUnit:
 
     def step(self, value: float) -> float:
         """Advance one sample: the generator modulates its input, the remover
-        demodulates; each shifts its own register afterwards."""
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
+        demodulates; each shifts its own register afterwards. A sample is a
+        float or an int, as for sigma; InputError names any other type, an
+        int too large for a float, then a non-finite sample."""
+        if type(value) is not float:
+            # an int or a float subclass (np.float64) converts exactly, a bool
+            # or any other type is no sample
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InputError(f"sample must be a float or an int, got {type(value).__name__}")
+            try:
+                value = float(value)
+            except OverflowError as exc:
+                raise InputError(f"sample out of range: {exc}") from exc
+        if not math.isfinite(value):
             raise InputError(f"sample must be finite, got {value!r}")
         generator = self.role == "generator"
         out = fir_step(self.taps, self._register, value, generator)

@@ -205,6 +205,47 @@ def test_loader_fuzz_one_leaf(path, value):
         pass
 
 
+@pytest.mark.parametrize("edit, path, message", [
+    pytest.param(lambda d: d["plant"].update(measurement_noise={
+        "kind": "normal", "mean": [0.0], "std": [-0.1]}),
+        "plant.measurement_noise", "std must be non-negative", id="noise-negative-std"),
+    pytest.param(lambda d: d["plant"].update(measurement_noise={
+        "kind": "uniform", "low": [0.1], "high": [-0.1]}),
+        "plant.measurement_noise", "low must not exceed high", id="noise-low-above-high"),
+    pytest.param(lambda d: d["detector"]["threshold"].update(quantile=0),
+                 "detector.threshold.quantile", "quantile must lie in (0, 1]",
+                 id="threshold-quantile-zero"),
+    pytest.param(lambda d: d["detector"]["threshold"].update(safety=0),
+                 "detector.threshold.safety", "safety factor must be positive",
+                 id="threshold-safety-zero"),
+    pytest.param(lambda d: d.update(attack={"kind": "replay", "start": 100, "window": 0}),
+                 "attack.window", "replay needs a positive window", id="replay-window-zero"),
+    pytest.param(lambda d: d.update(attack={"kind": "bias", "start": -1, "magnitude": 0.5}),
+                 "attack.start", "start must be non-negative", id="attack-start-negative"),
+    pytest.param(lambda d: d["watermark"].update(theta0=[1.0, 0.5]),
+                 "watermark.theta0", 'expected "auto" or a list of 3 taps', id="theta0-two-taps"),
+    pytest.param(lambda d: d.update(seed=-1), "seed", "seed must be non-negative",
+                 id="seed-negative"),
+])
+def test_scenario_load_checks_name_the_field(edit, path, message):
+    d = copy.deepcopy(_NOMINAL)
+    edit(d)
+    with pytest.raises(ConfigError) as err:
+        Scenario.from_dict(d)
+    assert (err.value.path, err.value.message) == (f"scenario.{path}", message)
+
+
+@pytest.mark.parametrize("remove, read, default", [
+    pytest.param(lambda d: d.pop("attack"), lambda sc: sc.attack, AttackSpec(), id="attack"),
+    pytest.param(lambda d: d["detector"].pop("threshold"), lambda sc: sc.detector.threshold,
+                 ThresholdSpec(), id="threshold"),
+])
+def test_absent_section_loads_with_defaults(remove, read, default):
+    d = copy.deepcopy(_NOMINAL)
+    remove(d)
+    assert read(Scenario.from_dict(d)) == default
+
+
 def _sections(node, path=()):
     """Key paths of every JSON object in a parsed document, itself first."""
     if isinstance(node, dict):
@@ -417,10 +458,13 @@ def test_calibration_monotone_in_safety():
     assert hi == pytest.approx(2 * lo, rel=1e-12)
 
 
-def test_calibration_requires_attack_free():
+def test_calibration_of_attacked_scenario_matches_its_runs():
+    """The calibration rows never see the attack: an attacked scenario
+    calibrates as run_scenario does, and as its attack-free copy."""
     sc = shipped.load_scenario("replay")
-    with pytest.raises(ValueError):
-        calibrate_threshold(sc)
+    thr = calibrate_threshold(sc)
+    assert thr == run_scenario(sc).metadata["threshold"] == 0.17727576009875248
+    assert thr == calibrate_threshold(dataclasses.replace(sc, attack=AttackSpec()))
 
 
 def test_no_false_alarms_on_held_out_seeds():

@@ -32,6 +32,7 @@ from ecwatermark import (
     shipped,
     validate_theta,
 )
+from ecwatermark import switching
 from ecwatermark.switching import _tap_row, admissible_taps
 from conftest import random_switching_config
 
@@ -318,6 +319,21 @@ def test_fallback_never_evaluates_identity():
         cfg = make_config(l=38)  # 2 * group order
     for y in (-5.0, 0.0, 1.7, 44.0):
         assert not sigma_detail(y, cfg).secret_multiple.is_infinity
+
+
+@pytest.mark.parametrize("overrides, message", [
+    pytest.param(dict(eta_floor=0.5), "tap floor below 1.0", id="floor"),
+    pytest.param(dict(l=19), "multiple of the group order", id="scalar"),
+])
+def test_config_warnings_name_the_caller(overrides, message):
+    """The warning names the file that built the config: this one for a
+    config built in code, switching.py for one loaded by from_dict."""
+    with pytest.warns(ConfigurationWarning, match=message) as built:
+        cfg = make_config(**overrides)
+    assert [w.filename for w in built] == [__file__]
+    with pytest.warns(ConfigurationWarning, match=message) as loaded:
+        SwitchingConfig.from_dict(cfg.to_dict())
+    assert [w.filename for w in loaded] == [switching.__file__]
 
 
 def test_sigma_periodic_in_scalar(demo_cfg):
@@ -759,6 +775,32 @@ def test_config_file_round_trip(tmp_path):
     assert SwitchingConfig.load(path).to_dict() == cfg.to_dict()
 
 
+@pytest.mark.parametrize("edit, path, message", [
+    pytest.param(lambda d: d["alpha"].update(x=[4.0]), "alpha.x", "need at least 2 coefficients",
+                 id="alpha-one-coefficient"),
+    pytest.param(lambda d: d["alpha"].update(x=3), "alpha.x", "expected a list of numbers, got 3",
+                 id="alpha-not-a-list"),
+    pytest.param(lambda d: d.update(n_h=0), "n_h", "filter order must be a positive integer",
+                 id="n_h-zero"),
+    pytest.param(lambda d: d["eta1"].__setitem__(1, []), "eta1[1]",
+                 "each row needs at least one finite coefficient", id="eta1-empty-row"),
+    pytest.param(lambda d: d.update(eta1=3), "eta1", "expected a list of coefficient rows",
+                 id="eta1-not-a-list"),
+    pytest.param(lambda d: d.update(eta_floor=0), "eta_floor", "tap floor must be positive",
+                 id="eta_floor-zero"),
+    pytest.param(lambda d: d.update(eta_slope=-1), "eta_slope", "squash slope must be positive",
+                 id="eta_slope-negative"),
+    pytest.param(lambda d: d["curve"].update(s=10007), "curve.s",
+                 "field size 10007 exceeds enumeration bound 10000", id="curve-past-bound"),
+])
+def test_config_load_checks_name_the_field(edit, path, message):
+    data = make_config().to_dict()
+    edit(data)
+    with pytest.raises(ConfigError) as err:
+        SwitchingConfig.from_dict(data)
+    assert (err.value.path, err.value.message) == (f"config.{path}", message)
+
+
 _FINITE = "taps must be finite"
 _B0 = "b0 must be nonzero"
 _B1 = "|b1| must be below 1"
@@ -820,4 +862,8 @@ def test_eta2_rejects_non_finite_raw_taps():
 def test_eta2_squash_capped_below_one():
     theta = eta2((1.0, 1e200, 0.5), floor=1.0, slope=1.0, margin=0.1)
     assert abs(theta.taps[1]) < 1.0
+    assert validate_theta(theta).ok
+    # the squash rounds to -1.0 here, and the negative cap takes it
+    theta = eta2((1.0, -1e300, 0.5), floor=1.0, slope=1.0, margin=0.1)
+    assert theta.taps[1] == -(1.0 - 2.0**-20)
     assert validate_theta(theta).ok

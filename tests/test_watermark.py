@@ -156,6 +156,33 @@ def test_step_rejects_non_finite():
         gen.step(math.nan)
 
 
+@pytest.mark.parametrize("value, message", [
+    pytest.param(3, None, id="int"),
+    pytest.param(np.float64(3.0), None, id="np-float64"),
+    pytest.param(True, "sample must be a float or an int, got bool", id="bool"),
+    pytest.param(np.float32(1.0), "sample must be a float or an int, got float32", id="np-float32"),
+    pytest.param(np.int64(3), "sample must be a float or an int, got int64", id="np-int64"),
+    pytest.param("1.0", "sample must be a float or an int, got str", id="str"),
+    pytest.param(10**400, "sample out of range: ", id="huge-int"),
+    pytest.param(math.inf, "sample must be finite, got inf", id="inf"),
+    pytest.param(np.float64(-math.inf), "sample must be finite, got -inf", id="np-minus-inf"),
+])
+def test_step_takes_the_samples_sigma_takes(value, message):
+    """A float (np.float64 too) or an int, by sigma's measurement rule; the
+    non-finite text is the one sim's block check mirrors. A rejected sample
+    leaves the register as it was."""
+    for unit, reference in zip(make_pair((2.0, 0.5, 0.2)), make_pair((2.0, 0.5, 0.2))):
+        if message is None:
+            got = unit.step(value)
+            assert type(got) is float and got == reference.step(3.0)
+            assert unit._register == reference._register
+            continue
+        with pytest.raises(InputError) as info:
+            unit.step(value)
+        assert str(info.value).startswith(message)
+        assert unit._register == (0.0, 0.0)
+
+
 def test_roundtrip_inversion_white_noise():
     rng = np.random.default_rng(11)
     theta = eta2((2.0, 3.0, 4.0), floor=1.0, slope=1.0, margin=0.1)
