@@ -96,21 +96,24 @@ def _point_json(p):
     return None if p.is_infinity else [p.x, p.y]
 
 
+# One point of the `ecwm curve --json` report, as json.dumps(..., indent=2)
+# lays it out inside the points list.
+_POINT_JSON = '    {{\n      "x": {},\n      "y": {},\n      "order": {},\n      "cofactor": {}\n    }}'
+
+
 def cmd_curve(args) -> int:
     curve = Curve(args.a, args.b, args.s)
     orders = curve.point_orders()
     n = curve.order()
     if args.json:
-        payload = {
-            "s": curve.s, "a": curve.a, "b": curve.b,
-            "order": n,
-            "identity": {"order": 1, "cofactor": n},
-            "points": [
-                {"x": p.x, "y": p.y, "order": k, "cofactor": n // k}
-                for p, k in orders.items()
-            ],
-        }
-        print(json.dumps(payload, indent=2))
+        # json.dumps with an indent would run CPython's pure-Python encoder;
+        # every field is an int, so the same text is formatted directly (the
+        # points list is never empty: by Hasse's bound a curve over s >= 5 has
+        # an affine point)
+        points = ",\n".join(_POINT_JSON.format(p.x, p.y, k, n // k) for p, k in orders.items())
+        print(f'{{\n  "s": {curve.s},\n  "a": {curve.a},\n  "b": {curve.b},\n  "order": {n},\n'
+              f'  "identity": {{\n    "order": 1,\n    "cofactor": {n}\n  }},\n'
+              f'  "points": [\n{points}\n  ]\n}}')
         return EXIT_OK
     print(f"curve y^2 = x^3 + {curve.a}x + {curve.b} over F_{curve.s}")
     print(f"group order {n} ({len(orders)} affine points + identity)")
@@ -129,6 +132,7 @@ def cmd_switch_eval(args) -> int:
         "y": args.y,
         "scaled": list(outcome.scaled),
         "P": _point_json(outcome.generator_point),
+        "point_index": cfg.curve.nearest_index(*outcome.scaled),
         "S": _point_json(outcome.secret_multiple),
         "fallback": outcome.fallback_used,
         "b_raw": list(outcome.raw_taps),

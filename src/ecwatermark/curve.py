@@ -9,17 +9,38 @@ bound is the curve's too, and Curve raises CapacityError past it), into x
 and y coordinate arrays in one numpy pass, and cuts them into the column
 bands of the projection; order(), the projection and the switching map read
 those arrays, and Point objects are built only for callers that ask
-(affine_points, affine_point); point
-orders come from walks of cyclic subgroups, one point's (point_order)
-or every point's (point_orders); the nearest affine point to a real query is
-an exact float64 search over the points near the query, with the whole
-curve as the fallback. Two scans compute the projection's distances with the
-same float operations, (px - x)*(px - x) + (py - y)*(py - y), and the same
-tie rule: nearest_index scans one square cell's candidates in plain floats
-on curves up to CELL_TABLE_MAX_S, and _squared_distances scans bands of
-x-columns in numpy for nearest_indices, for larger curves' nearest_index and
-for every fallback. The tests hold the two equal to each other and to a
-whole-curve list scan.
+(affine_points, affine_point); point orders come from walks of cyclic
+subgroups, one point's (point_order) or every point's (point_orders).
+
+The nearest affine point to a real query (x, y) is an exact float64 search.
+Every scan computes the same float operations,
+(px - x)*(px - x) + (py - y)*(py - y), and keeps the least distance at the
+lowest index, the lexicographically smallest point. Each first scans only
+the points near the query, by one cell rule. Cut the square [0, s) x [0, s)
+into cells of W x W, W = round(s / sqrt(N)) for N affine points, the mean
+point spacing; a query in the square lies in cell
+(cx, cy) = (floor(x) // W, floor(y) // W). Its candidates at reach r are the
+points in the (2r + 1) x (2r + 1) cells around it: the columns
+[(cx - r)W, (cx + r + 1)W) and the rows [(cy - r)W, (cy + r + 1)W). Since
+cx*W <= x < (cx + 1)*W and the coordinates are integers, every other point
+lies more than rW away in x or in y; rounding being monotone and (rW)^2
+exact, its float distance is at least (rW)^2. A candidate minimum below
+(rW)^2 therefore beats every other point, and the scan answers as the
+whole-curve scan does, bit for bit and tie for tie. The column bands
+apply the rule to columns alone, with bands of B columns for cells: a
+query's band and the bands on either side, bound B*B.
+
+- nearest_index, one query on a curve with s up to CELL_TABLE_MAX_S, scans
+  its cell's candidates at reach 1 in plain floats.
+- nearest_indices, arrays of queries at every field size, scans the padded
+  cell table (_cell_table) in numpy: reach 1, then reach 2 for a miss.
+- The column bands serve only nearest_index: its queries on curves above
+  CELL_TABLE_MAX_S, whose scalar cells would cost set-up and memory there
+  (see that bound), and its misses and off-square queries below it.
+
+A query off the square, or with no candidate below the bound, is scanned
+against the whole curve. The tests hold the scans equal to each other and to
+a whole-curve list scan.
 """
 
 from __future__ import annotations
@@ -56,18 +77,22 @@ INFINITY = Point(None, None)
 
 # nearest_indices scans at most about this many distances per block, so its
 # temporaries (128 KB each) do not grow with the number of queries. On a
-# 2-core Xeon VM (48 KB L1d per core), _squared_distances took about 4.3 ns
-# per distance at 2^14 distances and 9.5 to 12 ns from 2^15 up.
+# 2-core Xeon VM (48 KB L1d per core), its table scan of whole grids at
+# s = 307 and s = 9973 ran within 25% of its best at 2^13 to 2^15 distances
+# per block, 1.3 to 1.8 times slower at 2^11, and 1.5 times slower at 2^16
+# on s = 307.
 BLOCK_DISTANCES = 1 << 14
 
-# nearest_index scans a cell table in plain floats on curves with s up to
-# this bound, and the numpy column bands above it. Filled, the table takes
-# about 260 bytes per affine point (0.49 MB under tracemalloc at s = 2039,
-# 2.55 MB at s = 9973). Each endpoint keeps its own, so the bound keeps it
-# out of the set-up and memory of curves near the enumeration bound. Serving
-# s = 9973 from the table too cut the benchmark's switch-large latency_p50_ms
-# by about 31%, but raised its peak_rss_mb by 9.6% to 10.4% and its setup_s
-# by 17% to 22% (three alternating 30 s pairs on a 2-core VM).
+# nearest_index scans per-cell candidate tuples in plain floats on curves
+# with s up to this bound, and the numpy column bands above it. Filled, the
+# tuples take about 260 bytes per affine point (0.49 MB under tracemalloc at
+# s = 2039, 2.55 MB at s = 9973). Each endpoint keeps its own, so the bound
+# keeps them out of the set-up and memory of curves near the enumeration
+# bound. Serving s = 9973 from them too cut the benchmark's switch-large
+# latency_p50_ms by about 31%, but raised its peak_rss_mb by 9.6% to 10.4%
+# and its setup_s by 17% to 22% (three alternating 30 s pairs on a 2-core
+# VM). nearest_indices' padded cell table is built at every field size, but
+# only on a curve's first array query, which no switching endpoint makes.
 CELL_TABLE_MAX_S = 2048
 
 
@@ -121,10 +146,12 @@ class Curve:
         ry = r[self._xs]
         self._ys = np.where(second, s - ry, ry)
         self._build_buckets(self._xs, self._ys)
-        # Point objects, the cell table and its cells, made on first use
+        # Point objects, nearest_index's cell table and its cells, and
+        # nearest_indices' padded cell table, made on first use
         self._affine: list[Point] | None = None
         self._grid: tuple | None = None
         self._cell_points: tuple = ()
+        self._table: tuple | None = None
 
     def __repr__(self) -> str:
         return f"Curve(a={self.a}, b={self.b}, s={self.s})"
@@ -208,18 +235,18 @@ class Curve:
         return Point(self._xs.item(i), self._ys.item(i))
 
     def _build_buckets(self, xs: np.ndarray, ys: np.ndarray) -> None:
-        """Cut the columns [0, s) into buckets of W columns for nearest_indices,
-        and for nearest_index's scan past its cell table.
+        """Cut the columns [0, s) into the column bands of nearest_index: its
+        scan on curves above CELL_TABLE_MAX_S and past its cells below.
 
-        Bucket b holds views of the points in columns [(b-1)W, (b+2)W): one
+        Bucket b holds views of the points in columns [(b-1)B, (b+2)B): one
         contiguous index range [lo, hi), since the points are sorted by x.
-        W grows with the mean point spacing s/sqrt(N), so a query's nearest
-        point is almost always within W columns. The floor of 32 is for small
+        B grows with the mean point spacing s/sqrt(N), so a query's nearest
+        point is almost always within B columns. The floor of 32 is for small
         fields, where numpy's per-call cost, not the scan, sets the time: a
-        field below 32 is one bucket. It shapes only nearest_indices' blocks
-        and nearest_index's fallback from its cells: scalar queries on curves
-        with s <= CELL_TABLE_MAX_S scan cells first, and above s ~ 606
-        (N ~ s points) 1.3 s/sqrt(N) exceeds 32 anyway.
+        field below 32 is one bucket. It shapes only nearest_index's fallback
+        from its cells, since scalar queries on curves with
+        s <= CELL_TABLE_MAX_S scan cells first, and above s ~ 606 (N ~ s
+        points) 1.3 s/sqrt(N) exceeds 32 anyway.
         """
         s, n = self.s, len(xs)
         fx, fy = xs.astype(np.float64), ys.astype(np.float64)
@@ -304,26 +331,15 @@ class Curve:
         nearest_indices, which give the same answers bit for bit.
 
         On a curve with s <= CELL_TABLE_MAX_S, a query in the square
-        [0, s) x [0, s) scans its cell's candidates in plain floats. The
-        square is cut into cells of W x W, W = round(s / sqrt(N)) for N
-        affine points, the mean point spacing; the query's cell (cx, cy) is
-        (floor(x) // W, floor(y) // W), and its candidates are the points in
-        the columns [(cx-1)W, (cx+2)W) and the rows [(cy-1)W, (cy+2)W), in
-        index order. Since cx*W <= x < (cx+1)*W and the coordinates are
-        integers, every other point lies more than W away in x or in y; so,
-        rounding being monotone and W*W exact, its float distance is at
-        least W*W. A candidate minimum below W*W therefore beats every other
-        point, and the scan, with a strict < from W*W, answers as the
-        whole-curve scan does, bit for bit and tie for tie. Each cell's
-        candidates are collected on the cell's first query.
-
-        Otherwise (a larger curve, a cell with no candidate below W*W, or a
-        query off the square) the column-bucket scan runs in numpy: the
-        points in the columns within B of the query's bucket of B columns,
-        by the same argument with bound B*B, or, when that bound fails or x
-        is outside [0, s), the whole curve. Raises InputError when no
-        distance is finite: a NaN or infinite coordinate, or one so large
-        that every squared distance overflows.
+        [0, s) x [0, s) scans its cell's candidates at reach 1 in plain
+        floats, with a strict < from W*W (the cell rule of the module
+        docstring); each cell's candidates are collected as (index, x, y)
+        tuples, in index order, on the cell's first query. Otherwise (a
+        larger curve, a cell with no candidate below W*W, or a query off the
+        square) the column-band scan runs in numpy, and then, when its bound
+        fails or x is outside [0, s), the whole curve. Raises InputError
+        when no distance is finite: a NaN or infinite coordinate, or one so
+        large that every squared distance overflows.
         """
         s = self.s
         if s <= CELL_TABLE_MAX_S and 0 <= x < s and 0 <= y < s:
@@ -382,35 +398,105 @@ class Curve:
     def nearest_indices(self, qx, qy) -> np.ndarray:
         """nearest_index of every query (qx[k], qy[k]), as an integer array.
 
-        The queries are grouped by column bucket. Each bucket's band is
-        scanned for a block of its queries at once, with argmin along each
-        query's row, and an answer stands when its band minimum is below the
-        bucket's bound, by nearest_index's column-bucket rule. The queries
-        that fail that test or lie off the square are scanned against the
-        whole curve. The float operations and the tie rule are those of
-        nearest_index's scans, so each answer is the same bit for bit (the
-        tests hold the two equal, cell table included). A block holds at
-        most about BLOCK_DISTANCES distances. Raises InputError for the first
-        query, in input order, that nearest_index would reject.
+        The queries in the square scan the padded cell table (_cell_table,
+        built on the curve's first array query) in blocks, by the cell rule
+        of the module docstring: each query's row, its candidates at reach 1,
+        with bound W*W, and for a miss the rows of the four diagonal
+        neighbours of its cell, which together hold its candidates at reach
+        2, with bound (2W)^2. The queries off the square, and the rare ones
+        that miss both, are scanned against the whole curve. The float
+        operations and the tie rule are those of nearest_index's scans, so
+        each answer is the same bit for bit (the tests hold the two equal).
+        A block holds at most about BLOCK_DISTANCES distances. Raises
+        InputError for the first query, in input order, that nearest_index
+        would reject.
         """
         qx = np.asarray(qx, dtype=np.float64)
         qy = np.asarray(qy, dtype=np.float64)
         if qx.ndim != 1 or qx.shape != qy.shape:
             raise ValueError("queries must be two 1-D arrays of equal length")
+        s = self.s
+        w, m = (self._table or self._cell_table())[:2]
         out = np.empty(len(qx), dtype=np.intp)
-        inside = (qx >= 0) & (qx < self.s)  # False for NaN
-        bucket = np.full(len(qx), -1, dtype=np.intp)
-        bucket[inside] = qx[inside].astype(np.intp) // self._width
-        rest = [np.flatnonzero(~inside)]  # the queries left for the whole curve
-        # np.bincount, not np.unique: the first np.unique imports numpy.ma (1 MB)
-        for b in np.flatnonzero(np.bincount(bucket[inside])).tolist():
-            queries = np.flatnonzero(bucket == b)
-            rest.append(self._scan_block(self._buckets[b], queries, qx, qy, out))
-        bad = self._scan_block(self._whole, np.sort(np.concatenate(rest)), qx, qy, out)
+        inside = (qx >= 0) & (qx < s) & (qy >= 0) & (qy < s)  # False for NaN
+        queries = np.flatnonzero(inside)
+        x, y = qx[queries], qy[queries]
+        cells = ((x.astype(np.intp) // w + 1) * m + y.astype(np.intp) // w + 1)[:, None]
+        ring = self._scan_cells(cells, x, y, w * w, queries, out)
+        around = cells[ring] + np.array([-m - 1, -m + 1, m - 1, m + 1])
+        far = self._scan_cells(around, x[ring], y[ring], 4 * w * w, queries[ring], out)
+        rest = np.sort(np.concatenate([np.flatnonzero(~inside), queries[ring][far]]))
+        bad = self._scan_block(self._whole, rest, qx, qy, out)
         if len(bad):
             k = bad[0]
             raise InputError(f"cannot project ({float(qx[k])!r}, {float(qy[k])!r}) onto {self!r}")
         return out
+
+    def _cell_table(self) -> tuple:
+        """nearest_indices' padded cell table (W, cells per side M with the
+        borders, candidates, their x, their y).
+
+        The cells are nearest_index's W x W cells with a border cell on every
+        side, so that each cell of the square has all eight neighbours; cell
+        (cx, cy) is row (cx + 1) * M + cy + 1. A row holds the indices of the
+        points in the row's block of 3 x 3 cells, in index order, as int32,
+        and their float64 coordinates beside them, padded to the longest row
+        with index N and coordinate inf (N affine points).
+        """
+        s, xs, ys = self.s, self._xs, self._ys
+        n = len(xs)
+        w = max(1, round(s / math.sqrt(n)))
+        m = -(-s // w) + 2
+        home = (xs // w + 1) * m + ys // w + 1
+        # each point joins the nine cells around its own; a stable sort by
+        # cell keeps each cell's points in index order (a radix sort on the
+        # 8- or 16-bit cell numbers of fields within the enumeration bound)
+        cell = (home[:, None] + (np.arange(-1, 2)[:, None] * m + np.arange(-1, 2)).ravel()).ravel()
+        cell = cell.astype(np.min_scalar_type(m * m - 1))
+        order = np.argsort(cell, kind="stable")
+        cell = cell[order]
+        counts = np.bincount(cell, minlength=m * m)
+        slot = np.arange(len(cell)) - (np.cumsum(counts) - counts)[cell]
+        candidates = np.full((m * m, counts.max()), n, dtype=np.int32)
+        candidates[cell, slot] = order // 9  # the point of each (point, cell) pair
+        fx = np.append(self._whole[0], np.inf)
+        fy = np.append(self._whole[1], np.inf)
+        self._table = (w, m, candidates, fx[candidates], fy[candidates])
+        return self._table
+
+    def _scan_cells(self, rows, x, y, bound, queries, out) -> np.ndarray:
+        """Scan the queries (x, y), numbered `queries` in out, against the
+        candidates of their table rows (an array of row numbers per query),
+        and write each answer whose distance is below bound into out. Return
+        the positions of the others, in their given order."""
+        candidates, tx, ty = self._table[2:]
+        width = rows.shape[1] * candidates.shape[1]
+        step = max(1, BLOCK_DISTANCES // width)
+        missed = [np.zeros(0, dtype=np.intp)]
+        for start in range(0, len(rows), step):
+            r = rows[start:start + step]
+            k = len(r)
+            # _squared_distances' operations, in place in the gathered rows
+            d = tx[r].reshape(k, width)
+            d -= x[start:start + step, None]
+            d *= d
+            dy = ty[r].reshape(k, width)
+            dy -= y[start:start + step, None]
+            dy *= dy
+            d += dy
+            if rows.shape[1] == 1:
+                # one row lists its candidates in index order: the first
+                # minimum is the lowest index at the least distance
+                j = d.argmin(axis=1)
+                least, i = d[np.arange(k), j], candidates[r[:, 0], j]
+            else:
+                least = d.min(axis=1)
+                c = candidates[r].reshape(k, width)
+                i = np.where(d == least[:, None], c, len(self._xs)).min(axis=1)
+            hit = least < bound
+            out[queries[start:start + step][hit]] = i[hit]
+            missed.append(start + np.flatnonzero(~hit))
+        return np.concatenate(missed)
 
     @staticmethod
     def _scan_block(table, queries, qx, qy, out) -> np.ndarray:

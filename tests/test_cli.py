@@ -45,6 +45,21 @@ def test_curve_json(capsys):
     assert payload["identity"] == {"order": 1, "cofactor": 19}
 
 
+@pytest.mark.parametrize("s, a, b", [(17, 2, 2), (307, 2, 3), (2039, 2, 3)])
+def test_curve_json_text_equals_json_dumps(capsys, s, a, b):
+    assert main(["curve", "--s", str(s), "--a", str(a), "--b", str(b), "--json"]) == 0
+    curve = Curve(a, b, s)
+    n = curve.order()
+    payload = {
+        "s": s, "a": a, "b": b,
+        "order": n,
+        "identity": {"order": 1, "cofactor": n},
+        "points": [{"x": p.x, "y": p.y, "order": k, "cofactor": n // k}
+                   for p, k in curve.point_orders().items()],
+    }
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
 def test_curve_output_stable(capsys):
     main(["curve", "--s", "17", "--a", "2", "--b", "2"])
     first = capsys.readouterr().out
@@ -89,6 +104,18 @@ def test_switch_eval_reports_valid_taps(demo_config_file, capsys):
     assert payload["violation"] is None
     assert len(payload["theta"]) == 3
     assert payload["P"] is not None and payload["S"] is not None
+
+
+@pytest.mark.parametrize("y", [0.0, 3.3, 10.0, -250.5])
+def test_switch_eval_reports_point_index(demo_config_file, capsys, y):
+    assert main(["switch-eval", "--config", str(demo_config_file), "--y", repr(y)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    curve = shipped.load_demo_config().curve
+    assert curve.s == 17
+    p = curve.affine_points()[payload["point_index"]]
+    assert [p.x, p.y] == payload["P"]
+    assert payload["point_index"] == curve.nearest_index(*payload["scaled"])
+    assert list(payload)[:4] == ["y", "scaled", "P", "point_index"]
 
 
 def test_switch_eval_reports_taps_without_inverse(demo_config_file, capsys):

@@ -573,31 +573,149 @@ def test_nearest_indices_equal_scalar_off_the_square(oracle_curves):
         assert_batch_matches_scalar(curve, queries)
 
 
+def _far_queries(curve, bound, count, rng):
+    """count uniform queries in the square whose nearest point lies at a
+    float distance of at least bound."""
+    far = []
+    while len(far) < count:
+        x, y = rng.uniform(0, curve.s), rng.uniform(0, curve.s)
+        p = curve.affine_point(curve.nearest_index(x, y))
+        if (p.x - x) * (p.x - x) + (p.y - y) * (p.y - y) >= bound:
+            far.append((x, y))
+    return far
+
+
 def test_nearest_indices_span_several_blocks(desk_curve, large_curve):
     for curve in (desk_curve, large_curve):
-        curve.affine_points()
+        curve.nearest_indices([], [])  # makes the padded cell table
+        w, _, candidates = curve._table[:3]
         rng = random.Random(curve.s)
-        # 2.5 blocks in the first bucket, then 2.5 whole-curve blocks off the square
-        n_band = 5 * BLOCK_DISTANCES // len(curve._buckets[0][0]) // 2
+        # 2.5 blocks of one table row each, 2.5 blocks of four rows (queries
+        # that miss their own row), then 2.5 whole-curve blocks off the square
+        n_row = 5 * BLOCK_DISTANCES // candidates.shape[1] // 2
+        n_ring = 5 * BLOCK_DISTANCES // (4 * candidates.shape[1]) // 2
         n_off = 5 * BLOCK_DISTANCES // len(curve.affine_points()) // 2
-        queries = [(rng.uniform(0, curve._width), rng.uniform(0, curve.s)) for _ in range(n_band)]
+        queries = [(rng.uniform(0, curve.s), rng.uniform(0, curve.s)) for _ in range(n_row)]
+        queries += _far_queries(curve, w * w, n_ring, rng)
         queries += [(-1.0 - rng.uniform(0, 9), rng.uniform(0, curve.s)) for _ in range(n_off)]
+        rng.shuffle(queries)
         assert_batch_matches_scalar(curve, queries)
 
 
-def test_nearest_indices_memory_does_not_grow_with_block(large_curve):
-    large_curve.affine_points()
+def test_nearest_indices_memory_does_not_grow_with_block():
+    curve = Curve(2, 3, 9973)
     rng = np.random.default_rng(3)
-    qx = rng.uniform(0, large_curve._width, 20000)  # one bucket: ~390 points
+    qx = rng.uniform(0, 9973, 20000)
     qy = rng.uniform(0, 9973, 20000)
     tracemalloc.start()
     try:
-        large_curve.nearest_indices(qx, qy)
+        # the first array query builds the padded cell table, 4.2 MB here
+        curve.nearest_indices(qx, qy)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one unbounded block would be 20000 x ~390 doubles (62 MB) per temporary
+    # one unbounded block would be 20000 x 20 doubles (3.2 MB) per temporary
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("s", [17, 101, 307, 2039])
+def test_cell_table_rows_list_their_blocks(s):
+    curve = Curve(2, 2 if s == 17 else 3, s)
+    curve.nearest_indices([], [])
+    w, m, candidates, tx, ty = curve._table
+    pts = curve.affine_points()
+    n = len(pts)
+    assert w == round(s / math.sqrt(n)) and m == math.ceil(s / w) + 2
+    assert candidates.dtype == np.int32 and candidates.shape[0] == m * m
+    rows = []
+    for cx in range(-1, m - 1):
+        column = [i for i, p in enumerate(pts) if (cx - 1) * w <= p.x < (cx + 2) * w]
+        for cy in range(-1, m - 1):
+            rows.append([i for i in column if (cy - 1) * w <= pts[i].y < (cy + 2) * w])
+    width = max(map(len, rows))
+    assert candidates.shape[1] == width
+    for row, want in enumerate(rows):
+        pad = width - len(want)
+        assert candidates[row].tolist() == want + [n] * pad
+        assert tx[row].tolist() == [float(pts[i].x) for i in want] + [math.inf] * pad
+        assert ty[row].tolist() == [float(pts[i].y) for i in want] + [math.inf] * pad
+
+
+def _midpoint_ties(curve, lo, hi):
+    """(x, y, k) for each midpoint (x, y) in the square of two points i < j
+    that are both nearest to it, at a float distance in [lo, hi); k is the
+    lowest index at that distance (i, or a third point's)."""
+    xs, ys = _coordinate_arrays(curve)
+    ties = []
+    for i in range(len(xs)):
+        d2 = (xs[i + 1:] - xs[i]) ** 2 + (ys[i + 1:] - ys[i]) ** 2
+        js = i + 1 + np.flatnonzero((4 * lo <= d2) & (d2 < 4 * hi))
+        mx, my = (xs[i] + xs[js]) / 2, (ys[i] + ys[js]) / 2
+        d = (xs - mx[:, None]) * (xs - mx[:, None]) + (ys - my[:, None]) * (ys - my[:, None])
+        least = d.min(axis=1)
+        tie = (d[:, i] == least) & (d[np.arange(len(js)), js] == least)
+        ties += [(x, y, k) for x, y, k in zip(mx[tie].tolist(), my[tie].tolist(),
+                                              d[tie].argmin(axis=1).tolist())
+                 if 0 <= x < curve.s and 0 <= y < curve.s]
+    return ties
+
+
+def test_nearest_indices_ties_past_the_row_go_to_the_lower_index(monkeypatch):
+    # Midpoint ties at reach 2 (W*W up to 4W*W), where the four rows of the
+    # ring list some higher index before a lower one at the same distance.
+    for curve in (Curve(2, 2, 17), Curve(2, 3, 101)):
+        curve.nearest_indices([], [])
+        w = curve._table[0]
+        ties = _midpoint_ties(curve, w * w, 4 * w * w)
+        assert len(ties) >= 2
+        got = assert_batch_matches_scalar(curve, [(x, y) for x, y, _ in ties])
+        assert got == [i for _, _, i in ties]
+    # (x, r) and (x, s - r) are mirror images across y = s/2, so every query
+    # on that line is a tie between two points, the lower one first in index
+    # order. Curve(0, 1, 1009) has gaps there wider than 2W: the ring
+    # resolves some ties, the whole curve others, and off the square the
+    # whole curve resolves them all.
+    curve = Curve(0, 1, 1009)
+    curve.nearest_indices([], [])
+    w = curve._table[0]
+    pts = curve.affine_points()
+    queries = [(x / 4, 1009 / 2) for x in range(0, 4 * 1009)]
+    queries += [(x, 1009 / 2) for x in (-3.0, -0.5, 1009.0, 1011.5)]
+    scanned = {"ring": [], "whole": []}  # the queries each later pass receives
+    scan_cells, scan_block = curve._scan_cells, curve._scan_block
+
+    def cells_pass(rows, x, y, bound, ids, out):
+        if rows.shape[1] == 4:
+            scanned["ring"] += ids.tolist()
+        return scan_cells(rows, x, y, bound, ids, out)
+
+    def whole_pass(table, ids, qx, qy, out):
+        scanned["whole"] += ids.tolist()
+        return scan_block(table, ids, qx, qy, out)
+
+    monkeypatch.setattr(curve, "_scan_cells", cells_pass)
+    monkeypatch.setattr(curve, "_scan_block", whole_pass)
+    got = assert_batch_matches_scalar(curve, queries)
+    passes = []
+    for (x, y), i in zip(queries, got):
+        p, q = pts[i], pts[i + 1]
+        d = (p.x - x) * (p.x - x) + (p.y - y) * (p.y - y)
+        assert (q.x, q.y) == (p.x, 1009 - p.y) and p.y < q.y
+        assert d == (q.x - x) * (q.x - x) + (q.y - y) * (q.y - y)
+        assert curve.affine_point(i) == nearest_by_list_scan(curve, x, y)
+        if not 0 <= x < 1009:
+            passes.append("off")
+        elif d >= 4 * w * w:
+            passes.append("whole")
+        elif d >= w * w:
+            passes.append("ring")
+        else:
+            passes.append("row")
+    assert {"ring", "whole", "off"} <= set(passes)
+    # a query reaches the ring exactly when its row has no candidate below
+    # W*W, and the whole curve exactly when the ring has none below 4W*W
+    assert scanned["ring"] == [k for k, p in enumerate(passes) if p in ("ring", "whole")]
+    assert scanned["whole"] == [k for k, p in enumerate(passes) if p in ("whole", "off")]
 
 
 @pytest.mark.parametrize("bad", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
